@@ -4,7 +4,7 @@
 use crate::driver::{fault_plan_for, DegradationSpec};
 use crate::estimator::InputEstimators;
 use crate::gate::SweepGate;
-use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy};
+use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy, STAGED_BYTES_PER_PARAM};
 use dos_hal::PerfModelInputs;
 use dos_sim::{ControlledIteration, IterationController, IterationReport, TrainConfig};
 use dos_telemetry::{TraceEvent, Tracer};
@@ -589,16 +589,16 @@ impl WallClockTuner {
     /// `ArenaPool::take_high_water_bytes`) and, under
     /// [`ResidentPolicy::Headroom`], resizes the static-resident tail: the
     /// configured fraction of the signed headroom against
-    /// `host_budget_bytes` is converted into whole subgroups at ~18
-    /// bytes/param of staging footprint (p/m/v/g in FP32 plus the FP16
-    /// copy). Overshoot shrinks the tail again, so the loop self-corrects.
+    /// `host_budget_bytes` is converted into whole subgroups at
+    /// [`STAGED_BYTES_PER_PARAM`] of staging footprint (p/m/v/g in FP32).
+    /// Overshoot shrinks the tail again, so the loop self-corrects.
     pub fn observe_arena(&mut self, high_water_bytes: usize) {
         let ResidentPolicy::Headroom { fraction, cap } = self.cfg.residents else { return };
         if self.cfg.host_budget_bytes == 0 {
             return;
         }
         let headroom = self.cfg.host_budget_bytes as f64 - high_water_bytes as f64;
-        let bytes_per_subgroup = 18.0 * self.subgroup;
+        let bytes_per_subgroup = STAGED_BYTES_PER_PARAM as f64 * self.subgroup;
         let delta = fraction.clamp(0.0, 1.0) * headroom / bytes_per_subgroup;
         let max_residents =
             ((cap.clamp(0.0, 1.0) * self.n_subgroups as f64).floor() as usize).min(self.n_subgroups);
@@ -915,9 +915,9 @@ mod tests {
 
     #[test]
     fn wall_tuner_headroom_shrinks_residents_and_recovers() {
-        // 100 subgroups of 1M params; staging one costs 18 MB. Budget: the
+        // 100 subgroups of 1M params; staging one costs 16 MB. Budget: the
         // footprint of ~10 staged subgroups.
-        let budget = 10 * 18_000_000u64;
+        let budget = 10 * 16_000_000u64;
         let cfg = WallClockTunerConfig {
             residents: ResidentPolicy::Headroom { fraction: 0.5, cap: 0.2 },
             host_budget_bytes: budget,

@@ -375,6 +375,25 @@ mod tests {
         assert!(got.dc < 1e10, "D_c must be a real measurement, not a pin");
     }
 
+    /// The real pipeline's spans must feed every input: `U_c`/`D_c` from
+    /// the CPU track, `U_g` from the device worker, `B` from its
+    /// transfers.
+    #[test]
+    fn wall_feed_gets_every_input_from_a_real_traced_step() {
+        let n = 1 << 16;
+        let init: Vec<f32> = (0..n).map(|i| (i % 97) as f32 / 97.0).collect();
+        let grads: Vec<f32> = (0..n).map(|i| (i % 13) as f32 / 13.0 - 0.5).collect();
+        let mut state =
+            dos_optim::MixedPrecisionState::new(init, dos_optim::UpdateRule::adam(), 1e-3);
+        let sgs = dos_zero::partition_into_subgroups(n, n / 8);
+        let tracer = dos_telemetry::Tracer::new();
+        let cfg = dos_core::PipelineConfig::default();
+        dos_core::hybrid_update_traced(&mut state, &grads, &sgs, cfg, &tracer).unwrap();
+        let mut est = InputEstimators::wall(1.0);
+        est.observe_wall_events(&tracer.events());
+        assert!(est.inputs().is_some(), "an input had no sample: {est:?}");
+    }
+
     #[test]
     fn inputs_absent_until_every_estimator_has_a_sample() {
         let est = InputEstimators::wall(0.5);

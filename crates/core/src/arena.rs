@@ -1,8 +1,9 @@
 //! Pinned-buffer arena pool for zero-copy pipeline stage handoffs.
 //!
 //! Every subgroup the hybrid pipeline ships to the device worker needs
-//! staging buffers (`p`, `m`, `v`, `g` in FP32 plus the FP16 parameter
-//! copy coming back). Allocating those per subgroup per step is exactly
+//! staging buffers (`p`, `m`, `v`, `g` in FP32; the worker downscales
+//! straight into the host's FP16 output). Allocating those per subgroup
+//! per step is exactly
 //! the churn the paper's pinned-buffer design avoids: real DMA requires
 //! page-locked memory, which is expensive to register, so implementations
 //! keep a fixed arena of pinned buffers and recycle them. [`ArenaPool`]

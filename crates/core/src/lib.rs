@@ -56,7 +56,7 @@ pub use nvme::NvmeOffload;
 pub use perf_model::PerfModel;
 pub use pipeline::{
     hybrid_update, hybrid_update_pooled, hybrid_update_traced, DeviceFault, PipelineConfig,
-    PipelineDegradation, PipelineError, PipelineReport,
+    PipelineDegradation, PipelineError, PipelineReport, STAGED_BYTES_PER_PARAM,
 };
 pub use schedulers::{DeepOptimizerStates, StridePolicy, TwinFlow, ZenFlowAsync, Zero3Offload};
 pub use zenflow::{zenflow_reference, ZenFlowConfig, ZenFlowPipeline, ZenFlowStepReport};

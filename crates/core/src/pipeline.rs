@@ -7,17 +7,20 @@
 //! correctness claim under test is §4.1's: out-of-order, cross-device
 //! subgroup updates produce results identical to a sequential CPU update.
 //!
-//! Buffers move through `crossbeam` channels by value, mirroring the fact
-//! that a subgroup's (p, m, v) is staged on exactly one device at a time.
-//! Channels and threads come from the [`crate::sync`] facade: real
+//! Staged buffers move through `crossbeam` channels by value, mirroring the
+//! fact that a subgroup's (p, m, v) is staged on exactly one device at a
+//! time. Each device job also carries disjoint `&mut` views of its host
+//! range, so the worker writes its results back (D2H) itself while the CPU
+//! thread updates its own subgroups. Channels and threads come from the
+//! [`crate::sync`] facade: real
 //! crossbeam/std primitives in production, schedule-controlled twins under
 //! `dos-check`'s deterministic exploration.
 
-use crate::arena::{ArenaPool, PooledF16, PooledF32};
+use crate::arena::{ArenaPool, PooledF32};
 use crate::sync;
 
-use dos_optim::MixedPrecisionState;
-use dos_telemetry::Tracer;
+use dos_optim::{MixedPrecisionState, StateRangeMut, UpdateRule};
+use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
 
@@ -101,8 +104,8 @@ impl Default for PipelineConfig {
 pub struct PipelineDegradation {
     /// What happened to the device worker (panic message or disconnect).
     pub reason: String,
-    /// Subgroups that were shipped to the device but never came back, and
-    /// were re-run on the CPU from their still-unmodified host state.
+    /// Device-bound subgroups the worker never completed, run on the CPU
+    /// from their still-unmodified host state.
     pub lost_jobs_retried_on_cpu: usize,
 }
 
@@ -123,24 +126,140 @@ pub struct PipelineReport {
     pub degraded: Option<PipelineDegradation>,
 }
 
-/// One staged subgroup travelling to the device worker. The buffers are
-/// arena leases ("pinned" staging memory), not fresh allocations; they
-/// return to the pool wherever the subgroup is dropped.
-struct StagedSubgroup {
+/// Host bytes staged per shipped parameter: `p`, `m`, `v` and the gradient
+/// in FP32 — the arena footprint of one device subgroup in flight.
+pub const STAGED_BYTES_PER_PARAM: usize = 16;
+
+/// Bytes per parameter the worker's write-back copies to the host: `p`,
+/// `m`, `v` in FP32. The FP16 copy (2 more) lands during its downscale.
+const FLUSH_BYTES_PER_PARAM: usize = 12;
+
+/// One subgroup's disjoint slices of the host state and of the step's FP16
+/// output. The CPU thread updates them in place, or ships them with a
+/// device job so the worker can write its results straight back.
+struct HostRange<'a> {
     sg: SubgroupSpec,
+    state: StateRangeMut<'a>,
+    p16: &'a mut [F16],
+}
+
+/// One staged subgroup travelling to the device worker. The staging
+/// buffers are arena leases ("pinned" memory), not fresh allocations; they
+/// return to the pool wherever the job is dropped.
+struct DeviceJob<'a> {
+    host: HostRange<'a>,
     p: PooledF32,
     m: PooledF32,
     v: PooledF32,
     g: PooledF32,
 }
 
-/// An updated subgroup travelling back, carrying the same leased buffers.
-struct UpdatedSubgroup {
-    sg: SubgroupSpec,
-    p: PooledF32,
-    m: PooledF32,
-    v: PooledF32,
-    p16: PooledF16,
+/// What every subgroup update of one step shares.
+#[derive(Clone, Copy)]
+struct StepCtx<'a> {
+    rule: UpdateRule,
+    step: u64,
+    lr: f32,
+    grads: &'a [f32],
+    tracer: Option<&'a Tracer>,
+}
+
+impl StepCtx<'_> {
+    /// Opens the `{stage}:sg{id}` span carrying `work`. The label is only
+    /// formatted when a tracer is attached.
+    fn span(
+        &self,
+        track: &str,
+        resource: &str,
+        stage: &str,
+        sg: &SubgroupSpec,
+        work: usize,
+    ) -> Option<SpanGuard> {
+        self.tracer.map(|t| {
+            let mut guard = t.span_on(track, resource, &format!("{stage}:sg{}", sg.id), "update");
+            guard.set_work(work as f64);
+            guard
+        })
+    }
+
+    /// Local (CPU) update of one subgroup; also the degraded fallback path
+    /// when the device worker is gone. The FP32→FP16 downscale is a
+    /// distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span —
+    /// folding it into the update span would inflate the tuner's `U_c`
+    /// estimate and leave `D_c` unobservable.
+    fn cpu_apply(&self, host: HostRange<'_>) {
+        let HostRange { sg, state, p16 } = host;
+        {
+            let _span = self.span(CPU_TRACK, "cpu", "update", &sg, sg.len());
+            self.rule.apply(self.step, self.lr, state.p, &self.grads[sg.range()], state.m, state.v);
+        }
+        let _span = self.span(CPU_TRACK, "cpu", "downscale", &sg, sg.len());
+        kernels::downscale(state.p, p16);
+    }
+
+    /// Algorithm 1's prefetch: copies a subgroup's state and gradients into
+    /// staging leases (H2D).
+    fn prefetch<'h>(&self, pool: &ArenaPool, host: HostRange<'h>) -> DeviceJob<'h> {
+        let sg = host.sg;
+        let bytes = STAGED_BYTES_PER_PARAM * sg.len();
+        let _span = self.span(CPU_TRACK, "pcie.h2d", "prefetch", &sg, bytes);
+        if let Some(t) = self.tracer {
+            t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
+        }
+        DeviceJob {
+            p: pool.lease_f32_copy(host.state.p),
+            m: pool.lease_f32_copy(host.state.m),
+            v: pool.lease_f32_copy(host.state.v),
+            g: pool.lease_f32_copy(&self.grads[sg.range()]),
+            host,
+        }
+    }
+
+    /// The device side of one job: update the staged copies, downscale
+    /// straight into the host's FP16 range (the D2D `.half()` of Alg. 1),
+    /// then write `p`, `m`, `v` back to the host range (D2H).
+    fn device_apply(&self, job: DeviceJob<'_>) {
+        let DeviceJob { host, mut p, mut m, mut v, g } = job;
+        let sg = host.sg;
+        {
+            let _span = self.span(DEVICE_TRACK, "gpu", "update", &sg, sg.len());
+            self.rule.apply(self.step, self.lr, &mut p, &g, &mut m, &mut v);
+        }
+        {
+            let _span = self.span(DEVICE_TRACK, "gpu", "downscale", &sg, sg.len());
+            kernels::downscale(&p, host.p16);
+        }
+        let _span =
+            self.span(DEVICE_TRACK, "pcie.d2h", "flush", &sg, FLUSH_BYTES_PER_PARAM * sg.len());
+        host.state.p.copy_from_slice(&p);
+        host.state.m.copy_from_slice(&m);
+        host.state.v.copy_from_slice(&v);
+        if let Some(t) = self.tracer {
+            let bytes = (FLUSH_BYTES_PER_PARAM + 2) * sg.len(); // + the FP16 copy
+            t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
+        }
+    }
+}
+
+/// Splits `state` and `fp16` into the [`HostRange`]s of `sgs`, which must
+/// ascend without overlapping.
+fn host_ranges<'a>(
+    sgs: &[SubgroupSpec],
+    state: &'a mut MixedPrecisionState,
+    fp16: &'a mut [F16],
+) -> Vec<HostRange<'a>> {
+    let mut rest = fp16;
+    let mut offset = 0;
+    let views = state.split_ranges_mut(sgs.iter().map(SubgroupSpec::range));
+    sgs.iter()
+        .zip(views)
+        .map(|(sg, state)| {
+            let (p16, tail) = std::mem::take(&mut rest)[sg.start - offset..].split_at_mut(sg.len());
+            rest = tail;
+            offset = sg.end;
+            HostRange { sg: *sg, state, p16 }
+        })
+        .collect()
 }
 
 /// Runs one interleaved hybrid optimizer step over `state` with `grads`,
@@ -174,9 +293,9 @@ pub fn hybrid_update(
 
 /// [`hybrid_update`] with wall-clock tracing: every pipeline stage emits a
 /// real-time span into `tracer` — `prefetch:sg{id}` (H2D staging) /
-/// `update:sg{id}` / `downscale:sg{id}` (FP32→FP16, `D_c`) /
-/// `flush:sg{id}` (D2H write-back) on the `"cpu"` track, and
-/// `update:sg{id}` / `flush:sg{id}` (on-device downscale + send) on the
+/// `update:sg{id}` / `downscale:sg{id}` (FP32→FP16, `D_c`) on the `"cpu"`
+/// track, and `update:sg{id}` / `downscale:sg{id}` (on-device `.half()`)
+/// / `flush:sg{id}` (D2H write-back, resource `pcie.d2h`) on the
 /// `"device-worker"` track — plus byte counters in the tracer's metrics
 /// registry. Numerics are identical to the untraced path (tracing only
 /// observes).
@@ -271,27 +390,21 @@ fn hybrid_update_inner(
         StridePolicy::Fixed(k) => Some(k.max(1)),
         StridePolicy::CpuOnly => None,
     };
-    let n = subgroups.len();
-    let n_static = cfg.static_residents.min(n);
-    let dynamic = &subgroups[..n - n_static];
-    let residents = &subgroups[n - n_static..];
+    let n_static = cfg.static_residents.min(subgroups.len());
+    let dynamic = subgroups.len() - n_static;
 
     state.begin_step();
-    let step = state.step_count();
-    let rule = state.rule();
-    let lr = state.lr();
-
-    // DMA channels: H2D staging in, D2H updated state out.
-    let (h2d_tx, h2d_rx) = sync::unbounded::<StagedSubgroup>();
-    let (d2h_tx, d2h_rx) = sync::unbounded::<UpdatedSubgroup>();
+    let ctx =
+        StepCtx { rule: state.rule(), step: state.step_count(), lr: state.lr(), grads, tracer };
 
     let mut device_count = 0usize;
     let mut cpu_count = 0usize;
     let mut lost_retried = 0usize;
-    // Shipped subgroups whose results have not been written back yet. If
-    // the worker dies, whatever is left here re-runs on the CPU: write-back
-    // never happened, so the host state for those ranges is untouched and a
-    // CPU update from it is byte-exact.
+    // Shipped subgroups whose completion has not arrived yet. The worker
+    // writes a host range back if and only if it then sends the
+    // completion, and nothing between the two can panic; so if the worker
+    // dies, whatever is left here was never written back, and a CPU update
+    // from its untouched host state is byte-exact.
     let mut pending: Vec<SubgroupSpec> = Vec::new();
     let mut worker_lost: Option<String> = None;
     let mut fp16 = vec![F16::ZERO; state.len()];
@@ -307,14 +420,30 @@ fn hybrid_update_inner(
             &local_pool
         }
     };
-    let worker_pool = pool.clone();
+
+    // Every k-th dynamic subgroup goes to the device, and so do the
+    // trailing static residents. The CPU thread walks this plan in order,
+    // residents first: device-resident in concept (though still staged
+    // here), they keep the worker busy while the CPU reaches the first
+    // dynamic device subgroup, instead of leaving the step to end waiting
+    // on them.
+    let mut plan: Vec<(bool, HostRange<'_>)> = host_ranges(subgroups, state, &mut fp16)
+        .into_iter()
+        .enumerate()
+        .map(|(i, host)| (i >= dynamic || stride.is_some_and(|k| (i + 1) % k == 0), host))
+        .collect();
+    plan.rotate_right(n_static);
+    // DMA channels: H2D staged jobs in, D2H completions out.
+    let (h2d_tx, h2d_rx) = sync::unbounded::<DeviceJob<'_>>();
+    let (d2h_tx, d2h_rx) = sync::unbounded::<SubgroupSpec>();
 
     sync::scope(|scope| {
-        // The device worker: applies the same element-wise rule, then
-        // produces the FP16 copy on-device (the D2D `.half()` of Alg. 1).
-        let worker = scope.spawn(|| {
+        // The device worker: updates each staged job, writes the results
+        // back to the job's host range itself, and only then reports it
+        // complete.
+        let worker = scope.spawn(move || {
             let mut processed = 0usize;
-            while let Ok(mut job) = h2d_rx.recv() {
+            while let Ok(job) = h2d_rx.recv() {
                 match fault {
                     Some(DeviceFault::PanicAfter(n)) if processed == n => {
                         panic!("injected device fault after {n} jobs")
@@ -322,137 +451,48 @@ fn hybrid_update_inner(
                     Some(DeviceFault::DisconnectAfter(n)) if processed == n => return,
                     _ => {}
                 }
-                let label = format!("update:sg{}", job.sg.id);
-                {
-                    let mut guard =
-                        tracer.map(|t| t.span_on(DEVICE_TRACK, "gpu", &label, "update"));
-                    if let Some(g) = guard.as_mut() {
-                        g.set_work(job.sg.len() as f64);
-                    }
-                    rule.apply(step, lr, &mut job.p, &job.g, &mut job.m, &mut job.v);
-                }
-                let flush = format!("flush:sg{}", job.sg.id);
-                let _guard = tracer.map(|t| t.span_on(DEVICE_TRACK, "gpu", &flush, "update"));
-                let p16 = worker_pool.lease_f16_downscaled(&job.p);
-                let echo = UpdatedSubgroup { sg: job.sg, p: job.p, m: job.m, v: job.v, p16 };
-                if d2h_tx.send(echo).is_err() {
+                let sg = job.host.sg;
+                ctx.device_apply(job);
+                if d2h_tx.send(sg).is_err() {
                     return; // main thread is gone; nothing left to do
                 }
                 processed += 1;
             }
-            drop(d2h_tx);
         });
 
-        // The CPU side: walk dynamic subgroups, shipping every k-th to the
-        // device (prefetch = send), updating the rest locally and
-        // downscaling them.
-        let prefetch = |state: &MixedPrecisionState, sg: &SubgroupSpec| {
-            let label = format!("prefetch:sg{}", sg.id);
-            let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "pcie.h2d", &label, "update"));
-            let (p, m, v) = state.snapshot_range(sg.range());
-            let bytes = 4 * (3 * sg.len() + sg.len()); // p, m, v + grads, f32
-            if let Some(g) = guard.as_mut() {
-                g.set_work(bytes as f64);
-            }
-            if let Some(t) = tracer {
-                t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
-            }
-            StagedSubgroup {
-                sg: *sg,
-                p: pool.lease_f32_copy(p),
-                m: pool.lease_f32_copy(m),
-                v: pool.lease_f32_copy(v),
-                g: pool.lease_f32_copy(&grads[sg.range()]),
-            }
-        };
-
-        // Local (CPU) update of one subgroup; also the degraded fallback
-        // path when the device worker is gone. The FP32→FP16 downscale is a
-        // distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span
-        // — folding it into the update span would inflate the tuner's `U_c`
-        // estimate and leave `D_c` unobservable.
-        let cpu_apply =
-            |state: &mut MixedPrecisionState, fp16: &mut Vec<F16>, sg: &SubgroupSpec| {
-                {
-                    let label = format!("update:sg{}", sg.id);
-                    let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "cpu", &label, "update"));
-                    if let Some(g) = guard.as_mut() {
-                        g.set_work(sg.len() as f64);
-                    }
-                    state.update_range(sg.range(), &grads[sg.range()]);
-                }
-                let label = format!("downscale:sg{}", sg.id);
-                let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "cpu", &label, "update"));
-                if let Some(g) = guard.as_mut() {
-                    g.set_work(sg.len() as f64);
-                }
-                kernels::downscale(&state.params()[sg.range()], &mut fp16[sg.range()]);
-            };
-
-        for (i, sg) in dynamic.iter().enumerate() {
-            let on_device =
-                worker_lost.is_none() && stride.is_some_and(|k| (i + 1) % k == 0);
-            if on_device {
-                match h2d_tx.send(prefetch(state, sg)) {
-                    Ok(()) => {
-                        pending.push(*sg);
-                        device_count += 1;
-                    }
-                    Err(_) => {
-                        // Worker hung up: this job never left the host.
-                        worker_lost = Some("device worker disconnected".to_string());
-                        cpu_apply(state, &mut fp16, sg);
-                        cpu_count += 1;
-                        lost_retried += 1;
-                    }
-                }
-            } else {
-                cpu_apply(state, &mut fp16, sg);
+        // The CPU side: walk the plan, shipping device subgroups (prefetch
+        // = send) and updating the rest locally. A device subgroup is
+        // staged and offered even once the worker is gone, so the step's
+        // spans and its lost-job count do not depend on when the loss was
+        // seen.
+        for (to_device, host) in plan {
+            if !to_device {
+                ctx.cpu_apply(host);
                 cpu_count += 1;
+                continue;
             }
-        }
-        // Static residents: updated on the device without staging; here the
-        // state is conceptually already device-resident, so ship them too —
-        // unless the device is gone, in which case they fall back to the
-        // CPU like everything else.
-        for sg in residents {
-            if worker_lost.is_none() {
-                match h2d_tx.send(prefetch(state, sg)) {
-                    Ok(()) => {
-                        pending.push(*sg);
-                        device_count += 1;
-                        continue;
-                    }
-                    Err(_) => {
-                        worker_lost = Some("device worker disconnected".to_string());
-                        lost_retried += 1;
-                        cpu_apply(state, &mut fp16, sg);
-                        cpu_count += 1;
-                        continue;
-                    }
+            let sg = host.sg;
+            match h2d_tx.send(ctx.prefetch(pool, host)) {
+                Ok(()) => {
+                    pending.push(sg);
+                    device_count += 1;
+                }
+                Err(sync::SendError(job)) => {
+                    // Worker hung up: this job never left the host.
+                    worker_lost = Some("device worker disconnected".to_string());
+                    ctx.cpu_apply(job.host);
+                    cpu_count += 1;
+                    lost_retried += 1;
                 }
             }
-            cpu_apply(state, &mut fp16, sg);
-            cpu_count += 1;
         }
         drop(h2d_tx); // signal the worker to finish
 
-        // Drain the D2H channel: write back out-of-order arrivals. Ends
+        // Wait for completions; the worker already wrote them back. Ends
         // when the worker drops its sender — normal completion, early
         // return, or unwinding alike.
-        while let Ok(upd) = d2h_rx.recv() {
-            let label = format!("flush:sg{}", upd.sg.id);
-            let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "pcie.d2h", &label, "update"));
-            let bytes = 4 * 3 * upd.sg.len() + 2 * upd.sg.len(); // f32 state + f16 params
-            if let Some(g) = guard.as_mut() {
-                g.set_work(bytes as f64);
-            }
-            if let Some(t) = tracer {
-                t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
-            }
-            pending.retain(|p| p.id != upd.sg.id);
-            state.write_back_range(upd.sg.range(), &upd.p, &upd.m, &upd.v);
-            fp16[upd.sg.range()].copy_from_slice(&upd.p16);
+        while let Ok(sg) = d2h_rx.recv() {
+            pending.retain(|p| p.id != sg.id);
         }
 
         // Contain a worker panic instead of letting the scope re-raise it.
@@ -461,17 +501,18 @@ fn hybrid_update_inner(
         } else if !pending.is_empty() && worker_lost.is_none() {
             worker_lost = Some("device worker disconnected".to_string());
         }
-
-        // Re-run shipped-but-lost jobs on the CPU. Their host ranges were
-        // never written back, so the result is byte-identical to what the
-        // device would have produced.
-        for sg in std::mem::take(&mut pending) {
-            cpu_apply(state, &mut fp16, &sg);
-            device_count -= 1;
-            cpu_count += 1;
-            lost_retried += 1;
-        }
     });
+
+    // Re-run shipped-but-lost jobs on the CPU. Their host ranges were never
+    // written back, so the result is byte-identical to what the device
+    // would have produced.
+    pending.sort_by_key(|sg| sg.start);
+    for host in host_ranges(&pending, state, &mut fp16) {
+        ctx.cpu_apply(host);
+        device_count -= 1;
+        cpu_count += 1;
+        lost_retried += 1;
+    }
 
     if let Some(t) = tracer {
         t.metrics().inc_counter("pipeline.device_subgroups", device_count as u64);
@@ -603,14 +644,22 @@ mod tests {
             events.iter().filter(|e| e.track == track && e.name.starts_with(prefix)).count()
         };
         // CPU track: prefetch per shipped subgroup, update + downscale per
-        // local one, flush per write-back.
+        // local one; no write-back.
         assert_eq!(on(super::CPU_TRACK, "prefetch:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
-        assert_eq!(on(super::CPU_TRACK, "flush:sg"), report.device_subgroups);
-        // Device-worker track: update + flush per shipped subgroup.
+        assert_eq!(on(super::CPU_TRACK, "flush:sg"), 0);
+        // Device-worker track: update + downscale + flush (write-back) per
+        // shipped subgroup.
         assert_eq!(on(super::DEVICE_TRACK, "update:sg"), report.device_subgroups);
+        assert_eq!(on(super::DEVICE_TRACK, "downscale:sg"), report.device_subgroups);
         assert_eq!(on(super::DEVICE_TRACK, "flush:sg"), report.device_subgroups);
+        // Flush spans are D2H transfers of the FP32 state (12 B/param); the
+        // byte counter also counts the FP16 copy (2 B/param).
+        let flushes: Vec<_> = events.iter().filter(|e| e.name.starts_with("flush:sg")).collect();
+        assert!(flushes.iter().all(|e| e.resource == "pcie.d2h"));
+        let flushed = flushes.iter().map(|e| e.work).sum::<f64>();
+        assert_eq!(flushed / 12.0, tracer.metrics().counter("pipeline.d2h.bytes") as f64 / 14.0);
         // All wall-clock spans carry the update phase and real durations.
         assert!(events.iter().all(|e| e.phase == "update" && e.dur >= 0.0));
         // Byte counters rode along in the metrics registry.
@@ -649,25 +698,36 @@ mod tests {
 
     /// Every kill point of both fault kinds must leave the step byte-exact
     /// with the sequential reference and report the degradation honestly.
+    /// The worker writes a host range back only right before it reports
+    /// the job complete, so each job it did not complete is re-run on the
+    /// CPU from untouched host state.
     #[test]
     fn worker_loss_degrades_to_cpu_byte_exact() {
         let n = 600;
-        let (expected_p, expected_16) = reference(n);
-        let sgs = partition_into_subgroups(n, 40); // 15 subgroups, ~7 shipped
-        for kill_after in [0usize, 1, 3, 6] {
+        let sgs = partition_into_subgroups(n, 40); // 15 subgroups
+        let cfg = PipelineConfig { static_residents: 2, ..Default::default() };
+        let mut expected = setup(n).0;
+        let grads = setup(n).1;
+        expected.full_step(&grads);
+        let mut expected_16 = vec![F16::ZERO; n];
+        kernels::downscale_reference(expected.params(), &mut expected_16);
+        let shipped = hybrid_update(&mut setup(n).0, &grads, &sgs, cfg).unwrap().device_subgroups;
+        assert_eq!(shipped, 8, "every 2nd of 13 dynamic subgroups + 2 residents");
+        for kill_after in 0..=shipped {
             for fault in
                 [DeviceFault::PanicAfter(kill_after), DeviceFault::DisconnectAfter(kill_after)]
             {
-                let (mut state, grads) = setup(n);
-                let cfg = PipelineConfig { fault_injection: Some(fault), ..Default::default() };
+                let mut state = setup(n).0;
+                let cfg = PipelineConfig { fault_injection: Some(fault), ..cfg };
                 let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
-                assert_eq!(state.params(), &expected_p[..], "{fault:?} diverged");
+                assert_eq!(state, expected, "{fault:?} diverged");
                 assert_eq!(report.fp16_params, expected_16, "{fault:?} fp16 diverged");
-                let deg = report.degraded.expect("worker loss must be reported");
-                assert!(deg.lost_jobs_retried_on_cpu > 0, "{fault:?} lost nothing?");
-                if matches!(fault, DeviceFault::PanicAfter(_)) {
+                let lost = report.degraded.as_ref().map_or(0, |d| d.lost_jobs_retried_on_cpu);
+                assert_eq!(lost, shipped - kill_after, "{fault:?}");
+                if let (DeviceFault::PanicAfter(_), Some(deg)) = (fault, &report.degraded) {
                     assert!(deg.reason.contains("panicked"), "reason: {}", deg.reason);
                 }
+                assert_eq!(report.degraded.is_some(), kill_after < shipped, "{fault:?}");
                 // Jobs completed before the kill point stay on the device
                 // side of the ledger; everything still sums to the tiling.
                 assert_eq!(report.device_subgroups, kill_after);
@@ -711,7 +771,7 @@ mod tests {
         };
         // Write-backs happened only for jobs the worker finished; CPU
         // updates cover the rest (locals + lost retries).
-        assert_eq!(on(super::CPU_TRACK, "flush:sg"), report.device_subgroups);
+        assert_eq!(on(super::DEVICE_TRACK, "flush:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
         assert_eq!(tracer.metrics().counter("pipeline.degraded_steps"), 1);
@@ -766,7 +826,7 @@ mod tests {
 #[cfg(all(test, feature = "check"))]
 mod check_tests {
     use crate::sync::sched::{run_with_scheduler, PendingOp, Pick, Tid};
-    use crate::{hybrid_update, PipelineConfig};
+    use crate::{hybrid_update, DeviceFault, PipelineConfig};
     use dos_optim::{MixedPrecisionState, UpdateRule};
     use dos_zero::partition_into_subgroups;
 
@@ -801,6 +861,53 @@ mod check_tests {
             let (params, on_device) = outcome.result.unwrap();
             assert_eq!(params, expected, "reversed={reversed} diverged");
             assert!(on_device > 0);
+        }
+    }
+
+    /// With the worker scheduled as eagerly as possible, a kill is seen
+    /// while the CPU thread is still walking its subgroups. The device
+    /// subgroups it then cannot ship still count as lost, so the ledger is
+    /// exact for every kill point, and the result stays bitwise.
+    #[test]
+    fn worker_loss_seen_mid_walk_counts_every_lost_job() {
+        let n = 48;
+        let init: Vec<f32> = (0..n).map(|i| ((i * 13 + 5) % 31) as f32 / 31.0).collect();
+        let grads: Vec<f32> = (0..n).map(|i| ((i * 7 + 1) % 29) as f32 / 29.0 - 0.5).collect();
+        let mut seq = MixedPrecisionState::new(init.clone(), UpdateRule::adam(), 0.01);
+        seq.full_step(&grads);
+        let mut seq_16 = vec![dos_tensor::F16::ZERO; n];
+        dos_tensor::kernels::downscale_reference(seq.params(), &mut seq_16);
+        let shipped = 3; // every 2nd of 5 dynamic subgroups + 1 resident
+
+        for kill_after in 0..=shipped {
+            for fault in
+                [DeviceFault::PanicAfter(kill_after), DeviceFault::DisconnectAfter(kill_after)]
+            {
+                let (init, grads) = (init.clone(), grads.clone());
+                let outcome = run_with_scheduler(
+                    move || {
+                        let mut state = MixedPrecisionState::new(init, UpdateRule::adam(), 0.01);
+                        let sgs = partition_into_subgroups(n, 8);
+                        let cfg = PipelineConfig {
+                            static_residents: 1,
+                            fault_injection: Some(fault),
+                            ..PipelineConfig::default()
+                        };
+                        let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+                        let lost = report.degraded.map_or(0, |d| d.lost_jobs_retried_on_cpu);
+                        (state, report.fp16_params, lost)
+                    },
+                    // The newest enabled thread first: the worker runs as
+                    // soon as it can.
+                    |_, enabled: &[(Tid, PendingOp)]| Pick::Run(enabled[enabled.len() - 1].0),
+                    100_000,
+                );
+                assert!(outcome.error.is_none(), "{fault:?} teardown: {:?}", outcome.error);
+                let (state, fp16, lost) = outcome.result.unwrap();
+                assert_eq!(state, seq, "{fault:?} diverged");
+                assert_eq!(fp16, seq_16, "{fault:?} fp16 diverged");
+                assert_eq!(lost, shipped - kill_after, "{fault:?}");
+            }
         }
     }
 }

@@ -8,8 +8,9 @@
 //!   order on any device without changing results;
 //! * [`MixedPrecisionState`] — the host-resident FP32 master state
 //!   (parameters, momentum, variance) with `update_range`,
-//!   `snapshot_range`/`write_back_range` (Algorithm 1's prefetch/flush), and
-//!   FP16 downscaling (`D_c` in the performance model);
+//!   `snapshot_range`/`write_back_range` (Algorithm 1's prefetch/flush),
+//!   `split_ranges_mut` (disjoint per-subgroup views for concurrent
+//!   updates), and FP16 downscaling (`D_c` in the performance model);
 //! * [`ModelOptimizer`] — the functional driver that trains real `dos-nn`
 //!   models, with configurable gradient-precision paths mirroring Figure 6.
 //!
@@ -32,4 +33,4 @@ pub use loss_scale::DynamicLossScaler;
 pub use model_opt::{GradPrecision, ModelOptimizer};
 pub use rule::UpdateRule;
 pub use schedule::{clip_grad_norm, LrSchedule};
-pub use state::MixedPrecisionState;
+pub use state::{MixedPrecisionState, StateRangeMut};

@@ -198,10 +198,57 @@ impl MixedPrecisionState {
         self.v[range].copy_from_slice(v);
     }
 
+    /// Splits `(p, m, v)` into disjoint mutable views of `ranges`, one per
+    /// range, so each can be updated or written back on its own thread
+    /// (the hybrid pipeline's per-subgroup host views).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the ranges are ascending, non-overlapping and in
+    /// bounds.
+    pub fn split_ranges_mut(
+        &mut self,
+        ranges: impl IntoIterator<Item = std::ops::Range<usize>>,
+    ) -> Vec<StateRangeMut<'_>> {
+        // Cuts `len` elements after `skip` off the front of `rest`.
+        fn cut<'a>(rest: &mut &'a mut [f32], skip: usize, len: usize) -> &'a mut [f32] {
+            let (head, tail) = std::mem::take(rest)[skip..].split_at_mut(len);
+            *rest = tail;
+            head
+        }
+        let (mut p, mut m, mut v) = (&mut self.p[..], &mut self.m[..], &mut self.v[..]);
+        let mut offset = 0;
+        let mut views = Vec::new();
+        for range in ranges {
+            assert!(offset <= range.start && range.start <= range.end, "ranges must ascend");
+            assert!(range.end - offset <= p.len(), "range out of bounds");
+            let (skip, len) = (range.start - offset, range.len());
+            views.push(StateRangeMut {
+                p: cut(&mut p, skip, len),
+                m: cut(&mut m, skip, len),
+                v: cut(&mut v, skip, len),
+            });
+            offset = range.end;
+        }
+        views
+    }
+
     /// The update rule.
     pub fn rule(&self) -> UpdateRule {
         self.rule
     }
+}
+
+/// Disjoint mutable `(p, m, v)` views of one element range, from
+/// [`MixedPrecisionState::split_ranges_mut`].
+#[derive(Debug)]
+pub struct StateRangeMut<'a> {
+    /// Master parameters of the range.
+    pub p: &'a mut [f32],
+    /// First-moment buffer of the range.
+    pub m: &'a mut [f32],
+    /// Second-moment buffer of the range.
+    pub v: &'a mut [f32],
 }
 
 #[cfg(test)]
@@ -228,6 +275,48 @@ mod tests {
         assert_eq!(mono.params(), sharded.params());
         assert_eq!(mono.momentum(), sharded.momentum());
         assert_eq!(mono.variance(), sharded.variance());
+    }
+
+    #[test]
+    fn split_views_update_like_update_range() {
+        let init: Vec<f32> = (0..50).map(|i| i as f32 / 7.0).collect();
+        let g = grads(50);
+        let mut whole = MixedPrecisionState::new(init.clone(), UpdateRule::adam(), 0.01);
+        whole.full_step(&g);
+
+        let mut split = MixedPrecisionState::new(init, UpdateRule::adam(), 0.01);
+        split.begin_step();
+        let (rule, step, lr) = (split.rule(), split.step_count(), split.lr());
+        let ranges = [0..10, 10..10, 10..35, 35..50];
+        for (r, view) in ranges.iter().zip(split.split_ranges_mut(ranges.clone())) {
+            rule.apply(step, lr, view.p, &g[r.clone()], view.m, view.v);
+        }
+        assert_eq!(whole, split);
+    }
+
+    #[test]
+    fn split_views_skip_gaps() {
+        let mut s = MixedPrecisionState::new(vec![0.0; 10], UpdateRule::adam(), 0.1);
+        let views = s.split_ranges_mut([2..4, 7..10]);
+        assert_eq!(views.iter().map(|v| v.p.len()).collect::<Vec<_>>(), [2, 3]);
+        for view in views {
+            view.p.fill(1.0);
+        }
+        assert_eq!(s.params(), &[0., 0., 1., 1., 0., 0., 0., 1., 1., 1.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ranges must ascend")]
+    fn split_views_reject_overlap() {
+        let mut s = MixedPrecisionState::new(vec![0.0; 10], UpdateRule::adam(), 0.1);
+        s.split_ranges_mut([0..5, 4..8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "range out of bounds")]
+    fn split_views_reject_out_of_bounds() {
+        let mut s = MixedPrecisionState::new(vec![0.0; 10], UpdateRule::adam(), 0.1);
+        s.split_ranges_mut([0..2, 8..11]);
     }
 
     #[test]

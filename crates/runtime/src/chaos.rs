@@ -449,12 +449,21 @@ fn check_monitored_incident(seed: u64, flight_out: Option<&std::path::Path>) -> 
     }
 }
 
+/// A checkpoint directory private to this campaign: two campaigns with the
+/// same seed may run at once in one process (parallel tests do), and each
+/// removes its directory when done.
+fn scratch_dir(kind: &str, seed: u64) -> std::path::PathBuf {
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    std::env::temp_dir()
+        .join(format!("dos-chaos-{kind}-{}-{thread}-{seed:x}", std::process::id()))
+}
+
 /// Kill-and-resume with a torn newest checkpoint: recovery must fall back
 /// to the newest valid snapshot and replay to a bitwise identical state.
 fn check_checkpoint_recovery(seed: u64) -> ChaosCheck {
     let name = "checkpoint-recovery-bitwise".to_string();
-    let dir = std::env::temp_dir()
-        .join(format!("dos-chaos-ckpt-{}-{seed:x}", std::process::id()));
+    let dir = scratch_dir("ckpt", seed);
     let _ = std::fs::remove_dir_all(&dir);
     let result = checkpoint_recovery_inner(seed, &dir);
     let _ = std::fs::remove_dir_all(&dir);
@@ -540,8 +549,7 @@ fn check_transport_faults(
             return ChaosCheck { name, passed: false, detail: format!("bad fault spec: {e}") }
         }
     };
-    let dir = std::env::temp_dir()
-        .join(format!("dos-chaos-transport-{}-{seed:x}", std::process::id()));
+    let dir = scratch_dir("transport", seed);
     let _ = std::fs::remove_dir_all(&dir);
     let result = transport_faults_inner(seed, &plan, &dir, flight_out);
     let _ = std::fs::remove_dir_all(&dir);

@@ -25,6 +25,9 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.to_f32(), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+// `repr(transparent)`: the F16C kernel stores 8 halves at once through a
+// pointer cast, which relies on `F16` having `u16`'s layout.
+#[repr(transparent)]
 pub struct F16(u16);
 
 impl F16 {

@@ -11,7 +11,12 @@
 //!
 //! The downscale is `D_c` in the paper's Eq. 1 — one of the two CPU-side
 //! throughput constants the adaptive controller steers on — so this is a
-//! measured hot path, not a micro-optimization; see `BENCH_7.json`.
+//! measured hot path, not a micro-optimization; see `BENCH_7.json`. The
+//! branchless downscale is compute-bound on its software rounding, so
+//! [`downscale`] dispatches at run time to the hardware converter (AVX2 +
+//! F16C) where the CPU has one, keeping [`downscale_branchless`] as the
+//! fallback. That converter lives in the private `x86` module, the only
+//! place in the crate where `unsafe` is allowed.
 
 use crate::f16::F16;
 
@@ -85,11 +90,32 @@ pub fn f32_from_f16_bits(h: u16) -> f32 {
 
 /// Vectorized FP32→FP16 downscale over equal-length slices.
 ///
+/// Uses the hardware converter (AVX2 + F16C, `vcvtps2ph` with
+/// round-to-nearest-even) when the running CPU has it, and
+/// [`downscale_branchless`] otherwise. Both paths produce the oracle's
+/// bits for every input, NaN payloads included.
+///
 /// # Panics
 ///
 /// Panics if the slices differ in length (the fallible, chunk-configurable
 /// surface is [`crate::convert::downscale_f32_chunked`]).
 pub fn downscale(src: &[f32], dst: &mut [F16]) {
+    assert_eq!(src.len(), dst.len(), "downscale length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x86::downscale(src, dst) {
+        return;
+    }
+    downscale_branchless(src, dst);
+}
+
+/// The portable path of [`downscale`]: [`f16_bits_from_f32_bits`] per
+/// element, which LLVM autovectorizes. Public so hosts with F16C still
+/// test it.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn downscale_branchless(src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "downscale length mismatch");
     for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
         for (x, y) in s.iter().zip(d.iter_mut()) {
@@ -144,6 +170,67 @@ pub fn round_through_f16(buf: &mut [f32]) {
 pub fn round_through_f16_reference(buf: &mut [f32]) {
     for x in buf.iter_mut() {
         *x = F16::from_f32(*x).to_f32();
+    }
+}
+
+/// The hardware FP32→FP16 converter, the crate's only `unsafe` code.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use std::arch::x86_64::{
+        __m128i, _mm256_cmp_ps, _mm256_cvtps_ph, _mm256_loadu_ps, _mm256_movemask_ps,
+        _mm_storeu_si128, _CMP_UNORD_Q, _MM_FROUND_TO_NEAREST_INT,
+    };
+
+    use super::f16_bits_from_f32_bits;
+    use crate::f16::F16;
+
+    /// Lanes per `vcvtps2ph`.
+    const LANES: usize = 8;
+
+    /// Downscales `src` into `dst` with F16C if the running CPU has AVX2
+    /// and F16C; returns `false` (leaving `dst` untouched) otherwise.
+    pub(super) fn downscale(src: &[f32], dst: &mut [F16]) -> bool {
+        if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")) {
+            return false;
+        }
+        // SAFETY: both target features were detected on the running CPU
+        // just above.
+        unsafe { downscale_f16c(src, dst) };
+        true
+    }
+
+    /// `vcvtps2ph` rounds to nearest-even, overflows to infinity and
+    /// keeps subnormals, exactly like the oracle. NaNs differ: hardware
+    /// quiets the truncated payload as-is (`0x7F80_0001 → 0x7E00`) where
+    /// the oracle forces a nonzero payload (`→ 0x7E01`), so NaN lanes are
+    /// redone by the branchless scalar code.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2 and F16C.
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn downscale_f16c(src: &[f32], dst: &mut [F16]) {
+        let mut s = src.chunks_exact(LANES);
+        let mut d = dst.chunks_exact_mut(LANES);
+        for (s, d) in (&mut s).zip(&mut d) {
+            // SAFETY: `s` holds exactly `LANES` f32s; the load is unaligned.
+            let x = unsafe { _mm256_loadu_ps(s.as_ptr()) };
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+            // SAFETY: `d` holds exactly `LANES` F16s, and `F16` is a
+            // `repr(transparent)` u16, so it spans the 16 bytes stored;
+            // the store is unaligned.
+            unsafe { _mm_storeu_si128(d.as_mut_ptr().cast::<__m128i>(), h) };
+            let mut nan = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
+            while nan != 0 {
+                let lane = nan.trailing_zeros() as usize;
+                d[lane] = F16::from_bits(f16_bits_from_f32_bits(s[lane].to_bits()));
+                nan &= nan - 1;
+            }
+        }
+        for (x, y) in s.remainder().iter().zip(d.into_remainder()) {
+            *y = F16::from_bits(f16_bits_from_f32_bits(x.to_bits()));
+        }
     }
 }
 
@@ -228,19 +315,52 @@ mod tests {
         }
     }
 
-    /// Full 2^32 sweep — ~40 s in release, run explicitly with
+    /// Full 2^32 sweep of both slice paths — the dispatching [`downscale`]
+    /// (F16C where the CPU has it) and [`downscale_branchless`] — ~20 s in
+    /// release, run explicitly with
     /// `cargo test -p dos-tensor --release -- --ignored exhaustive_u32`.
     #[test]
     #[ignore]
     fn downscale_matches_oracle_exhaustive_u32() {
-        let mut bits: u32 = 0;
-        loop {
-            let want = F16::from_f32(f32::from_bits(bits)).to_bits();
-            let got = f16_bits_from_f32_bits(bits);
-            assert_eq!(got, want, "downscale({bits:#010x}) diverged");
-            bits = bits.wrapping_add(1);
-            if bits == 0 {
-                break;
+        const BLOCK: u64 = 1 << 16;
+        let mut src = vec![0.0f32; BLOCK as usize];
+        let mut want = vec![F16::ZERO; src.len()];
+        let mut fast = vec![F16::ZERO; src.len()];
+        let mut portable = vec![F16::ZERO; src.len()];
+        for base in (0..1u64 << 32).step_by(BLOCK as usize) {
+            for (i, x) in src.iter_mut().enumerate() {
+                *x = f32::from_bits((base + i as u64) as u32);
+            }
+            downscale_reference(&src, &mut want);
+            downscale(&src, &mut fast);
+            downscale_branchless(&src, &mut portable);
+            for (i, w) in want.iter().enumerate() {
+                let bits = (base + i as u64) as u32;
+                assert_eq!(fast[i], *w, "downscale({bits:#010x}) diverged");
+                assert_eq!(portable[i], *w, "downscale_branchless({bits:#010x}) diverged");
+            }
+        }
+    }
+
+    /// A NaN at every lane of an 8-wide hardware block and in the scalar
+    /// tail must come out with the oracle's payload on both paths.
+    #[test]
+    fn downscale_patches_nan_payload_in_every_lane_and_tail() {
+        let nans =
+            [0x7F80_0001u32, 0xFF80_0001, 0x7F80_1FFF, 0x7FC0_0000, 0xFFFF_FFFF, 0x7F80_2000];
+        let len = 3 * 8 + 5;
+        for nan in nans {
+            for pos in 0..len {
+                let mut src: Vec<f32> = (0..len).map(|i| i as f32 * 0.375 - 4.0).collect();
+                src[pos] = f32::from_bits(nan);
+                let mut want = vec![F16::ZERO; len];
+                let mut fast = vec![F16::ZERO; len];
+                let mut portable = vec![F16::ZERO; len];
+                downscale_reference(&src, &mut want);
+                downscale(&src, &mut fast);
+                downscale_branchless(&src, &mut portable);
+                assert_eq!(fast, want, "NaN {nan:#010x} at {pos}");
+                assert_eq!(portable, want, "NaN {nan:#010x} at {pos} (branchless)");
             }
         }
     }
@@ -252,9 +372,12 @@ mod tests {
             .collect();
         let mut fast = vec![F16::ZERO; src.len()];
         let mut slow = vec![F16::ZERO; src.len()];
+        let mut portable = vec![F16::ZERO; src.len()];
         downscale(&src, &mut fast);
+        downscale_branchless(&src, &mut portable);
         downscale_reference(&src, &mut slow);
         assert_eq!(fast, slow);
+        assert_eq!(portable, slow);
 
         let mut up_fast = vec![0.0f32; src.len()];
         let mut up_slow = vec![0.0f32; src.len()];
@@ -279,6 +402,12 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn downscale_rejects_mismatch() {
         downscale(&[1.0, 2.0], &mut [F16::ZERO]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn downscale_branchless_rejects_mismatch() {
+        downscale_branchless(&[1.0], &mut [F16::ZERO, F16::ZERO]);
     }
 
     #[test]

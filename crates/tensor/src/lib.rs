@@ -24,7 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 mod bf16;
 pub mod convert;
