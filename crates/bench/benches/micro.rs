@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use dos::core::{hybrid_update, PipelineConfig, StridePolicy};
+use dos::core::{hybrid_update_pooled, ArenaPool, PipelineConfig, StridePolicy};
 use dos::optim::{MixedPrecisionState, UpdateRule};
 use dos::tensor::convert::{downscale_f32_chunked, upscale_f16_chunked};
 use dos::tensor::F16;
@@ -51,7 +51,10 @@ fn bench_hybrid_pipeline(c: &mut Criterion) {
             let mut state =
                 MixedPrecisionState::new(vec![0.5; n], UpdateRule::adam(), 1e-3);
             let cfg = PipelineConfig { stride: StridePolicy::Fixed(k), ..Default::default() };
-            b.iter(|| hybrid_update(&mut state, &grads, &subgroups, cfg).unwrap());
+            let pool = ArenaPool::new();
+            b.iter(|| {
+                hybrid_update_pooled(&mut state, &grads, &subgroups, cfg, None, &pool).unwrap()
+            });
         });
     }
     g.finish();

@@ -1,5 +1,5 @@
 //! `kernel_bench`: measured scalar-vs-vectorized kernel throughput plus
-//! the end-to-end pooled `hybrid_update` rate, with an optional CI
+//! the end-to-end `hybrid_update_pooled` rate, with an optional CI
 //! regression gate; schema documented in `DESIGN.md` §11.
 //!
 //! ```text

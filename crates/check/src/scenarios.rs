@@ -6,7 +6,7 @@
 //! formulas — so a schedule token (`scenario` + decision sequence) is a
 //! full reproduction recipe. Three scenario kinds exist:
 //!
-//! * [`ScenarioKind::Pipeline`] — the real [`dos_core::hybrid_update`].
+//! * [`ScenarioKind::Pipeline`] — the real [`dos_core::hybrid_update_pooled`].
 //!   Expected to pass under *every* schedule; any divergence, deadlock, or
 //!   panic is a pipeline bug.
 //! * [`ScenarioKind::Rendezvous`] — the real
@@ -32,7 +32,8 @@ use dos_core::sync;
 use dos_hal::HardwareProfile;
 use dos_serve::{Coordinator, JobSpec, ServeOptions};
 use dos_core::{
-    hybrid_update, zenflow_reference, DeviceFault, PipelineConfig, StridePolicy, ZenFlowConfig,
+    hybrid_update_pooled, zenflow_reference, ArenaPool, DeviceFault, PipelineConfig, StridePolicy,
+    ZenFlowConfig,
     ZenFlowPipeline,
 };
 use dos_optim::{MixedPrecisionState, UpdateRule};
@@ -343,7 +344,9 @@ impl CheckScenario {
                     static_residents: self.residents,
                     fault_injection: self.fault.to_device_fault(),
                 };
-                let report = match hybrid_update(&mut state, &grads, &sgs, cfg) {
+                let pool = ArenaPool::new();
+                let stepped = hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &pool);
+                let report = match stepped {
                     Ok(r) => r,
                     Err(e) => panic!("scenario {} precondition failure: {e}", self.encode()),
                 };

@@ -1,7 +1,7 @@
 //! Acceptance tests for the checker itself.
 //!
 //! * The full check run explores ≥ 1,000 distinct schedules of
-//!   `hybrid_update` — including both `PanicAfter` and `DisconnectAfter`
+//!   `hybrid_update_pooled` — including both `PanicAfter` and `DisconnectAfter`
 //!   recovery paths — with bitwise parity at every terminal state.
 //! * The deliberately seeded lost-send ordering bug is caught by
 //!   exploration, greedily shrunk, and reproduced from its schedule token.

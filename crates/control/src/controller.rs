@@ -512,7 +512,7 @@ impl Default for WallClockTunerConfig {
 
 /// The functional-trainer tuner: the same sweep + hysteresis loop as
 /// [`Controller`], fed purely from wall-clock spans recorded by the real
-/// threaded pipeline (`hybrid_update_traced`) — `U_c` from `update:sg*`
+/// threaded pipeline (`hybrid_update_pooled`) — `U_c` from `update:sg*`
 /// spans, `D_c` from the pipeline's dedicated `downscale:sg*` spans, `B`
 /// from the staging transfers. No contention compensation is applied —
 /// wall spans already measure the contended machine. When configured with

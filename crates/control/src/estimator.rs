@@ -199,7 +199,7 @@ impl InputEstimators {
     }
 
     /// Feeds one functional iteration's wall-clock spans (from
-    /// `hybrid_update_traced`). Wall spans carry `work` directly in
+    /// `hybrid_update_pooled`). Wall spans carry `work` directly in
     /// params (CPU/GPU updates) or bytes (staging transfers), so no
     /// nominal conversion is needed.
     pub fn observe_wall_events(&mut self, events: &[TraceEvent]) {
@@ -388,7 +388,9 @@ mod tests {
         let sgs = dos_zero::partition_into_subgroups(n, n / 8);
         let tracer = dos_telemetry::Tracer::new();
         let cfg = dos_core::PipelineConfig::default();
-        dos_core::hybrid_update_traced(&mut state, &grads, &sgs, cfg, &tracer).unwrap();
+        let pool = dos_core::ArenaPool::new();
+        dos_core::hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &pool)
+            .unwrap();
         let mut est = InputEstimators::wall(1.0);
         est.observe_wall_events(&tracer.events());
         assert!(est.inputs().is_some(), "an input had no sample: {est:?}");

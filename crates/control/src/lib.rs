@@ -12,7 +12,7 @@
 //! * [`InputEstimators`] — per-input EWMA estimators of `U_c`, `U_g`, `B`
 //!   (per PCIe direction), and `D_c`, fed from either clock: simulated
 //!   interval logs ([`InputEstimators::observe_sim_timeline`]) or
-//!   wall-clock spans from `hybrid_update_traced`
+//!   wall-clock spans from `hybrid_update_pooled`
 //!   ([`InputEstimators::observe_wall_events`]). Observed CPU throughputs
 //!   are divided by the known DRAM-contention factor while interleaving is
 //!   active, so the estimates stay comparable to the paper's standalone

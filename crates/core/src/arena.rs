@@ -9,7 +9,7 @@
 //! keep a fixed arena of pinned buffers and recycle them. [`ArenaPool`]
 //! is that arena's functional analogue: leased buffers hand themselves
 //! back on drop — wherever the drop happens, CPU thread or device worker
-//! — so a steady-state `hybrid_update` allocates nothing per subgroup.
+//! — so a steady-state `hybrid_update_pooled` allocates nothing per subgroup.
 //!
 //! The pool is the pipeline's *host memory meter*: its in-use/high-water
 //! gauges (exported through `dos-telemetry` as `arena.in_use_bytes` /

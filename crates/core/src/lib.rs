@@ -16,8 +16,8 @@
 //! * the baselines it is evaluated against — [`Zero3Offload`] (DeepSpeed
 //!   ZeRO-3 CPU optimizer offload) and [`TwinFlow`] (ZeRO-Offload++ static
 //!   GPU/CPU split, Figure 5 top);
-//! * [`hybrid_update`] — the same interleaved schedule executed with *real
-//!   threads and real Adam numerics*, demonstrating the §4.1 correctness
+//! * [`hybrid_update_pooled`] — the same interleaved schedule executed
+//!   with *real threads and real Adam numerics*, demonstrating the §4.1 correctness
 //!   claim: out-of-order, cross-device subgroup updates are bitwise
 //!   identical to a sequential CPU update.
 //!
@@ -55,8 +55,8 @@ pub use explain::{explain_schedule, ScheduleExplanation};
 pub use nvme::NvmeOffload;
 pub use perf_model::PerfModel;
 pub use pipeline::{
-    hybrid_update, hybrid_update_pooled, hybrid_update_traced, DeviceFault, PipelineConfig,
-    PipelineDegradation, PipelineError, PipelineReport, STAGED_BYTES_PER_PARAM,
+    hybrid_update_pooled, DeviceFault, PipelineConfig, PipelineDegradation, PipelineError,
+    PipelineReport, CPU_TRACK, DEVICE_TRACK, STAGED_BYTES_PER_PARAM,
 };
 pub use schedulers::{DeepOptimizerStates, StridePolicy, TwinFlow, ZenFlowAsync, Zero3Offload};
 pub use zenflow::{zenflow_reference, ZenFlowConfig, ZenFlowPipeline, ZenFlowStepReport};

@@ -27,9 +27,9 @@ use dos_zero::SubgroupSpec;
 use crate::schedulers::StridePolicy;
 
 /// Track name for the calling (CPU) thread's spans.
-const CPU_TRACK: &str = "cpu";
+pub const CPU_TRACK: &str = "cpu";
 /// Track name for the spawned device worker's spans.
-const DEVICE_TRACK: &str = "device-worker";
+pub const DEVICE_TRACK: &str = "device-worker";
 
 /// Typed precondition failures of the hybrid pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,79 +262,6 @@ fn host_ranges<'a>(
         .collect()
 }
 
-/// Runs one interleaved hybrid optimizer step over `state` with `grads`,
-/// scheduling subgroups across the calling thread and a spawned device
-/// worker per `cfg`.
-///
-/// Equivalent to `state.full_step(grads)` followed by a full downscale —
-/// bitwise, for any stride and resident set (verified by the crate's
-/// property tests) — but executed with the paper's interleaved concurrency.
-///
-/// The pipeline is panic-safe: if the device worker dies mid-step (a real
-/// panic or a channel disconnect, injectable via
-/// [`PipelineConfig::fault_injection`]), the remaining subgroups degrade to
-/// the CPU-only path, any shipped-but-lost jobs are re-run on the CPU from
-/// their still-unmodified host state, and the step completes byte-exact
-/// with [`PipelineReport::degraded`] set.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if `grads.len() != state.len()` or if
-/// `subgroups` do not tile `0..state.len()` contiguously. `state` is not
-/// modified on error.
-pub fn hybrid_update(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, None, None)
-}
-
-/// [`hybrid_update`] with wall-clock tracing: every pipeline stage emits a
-/// real-time span into `tracer` — `prefetch:sg{id}` (H2D staging) /
-/// `update:sg{id}` / `downscale:sg{id}` (FP32→FP16, `D_c`) on the `"cpu"`
-/// track, and `update:sg{id}` / `downscale:sg{id}` (on-device `.half()`)
-/// / `flush:sg{id}` (D2H write-back, resource `pcie.d2h`) on the
-/// `"device-worker"` track — plus byte counters in the tracer's metrics
-/// registry. Numerics are identical to the untraced path (tracing only
-/// observes).
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`hybrid_update`].
-pub fn hybrid_update_traced(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
-    tracer: &Tracer,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, Some(tracer), None)
-}
-
-/// [`hybrid_update_traced`] with a caller-owned [`ArenaPool`] for the
-/// staging buffers, so steady-state steps recycle the same leases instead
-/// of allocating per subgroup. Trainers hold one pool across iterations;
-/// the pool's high-water gauge is what the resident-sizing policy observes.
-///
-/// Pass `tracer: None` for an untraced pooled step. Numerics are identical
-/// to [`hybrid_update`] either way.
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`hybrid_update`].
-pub fn hybrid_update_pooled(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
-    tracer: Option<&Tracer>,
-    pool: &ArenaPool,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, tracer, Some(pool))
-}
-
 /// Renders the payload of a worker panic for the degradation report.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -346,13 +273,40 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn hybrid_update_inner(
+/// Runs one interleaved hybrid optimizer step over `state` with `grads` —
+/// the pipeline's one entry point — scheduling subgroups across the calling
+/// thread and a spawned device worker per `cfg`. The result is bitwise
+/// `state.full_step(grads)` plus a full downscale, for any stride and
+/// resident set (verified by the crate's property tests).
+///
+/// Staging buffers are leased from `pool`; trainers hold one across steps,
+/// so steady-state steps allocate nothing, and its high-water gauge is what
+/// the resident-sizing policy observes.
+///
+/// With a `tracer`, every stage records a wall-clock span —
+/// `prefetch:sg{id}` (H2D staging), `update:sg{id}` and `downscale:sg{id}`
+/// (`D_c`) on the [`CPU_TRACK`]; `update:sg{id}`, `downscale:sg{id}` and
+/// `flush:sg{id}` (D2H write-back, resource `pcie.d2h`) on the
+/// [`DEVICE_TRACK`] — plus byte counters in its metrics registry. Tracing
+/// only observes.
+///
+/// If the device worker dies mid-step (a panic or a disconnect, injectable
+/// via [`PipelineConfig::fault_injection`]), the remaining subgroups and any
+/// shipped-but-lost jobs run on the CPU from their untouched host state,
+/// and the step completes byte-exact with [`PipelineReport::degraded`] set.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if `grads.len() != state.len()` or if
+/// `subgroups` do not tile `0..state.len()` contiguously. `state` is not
+/// modified on error.
+pub fn hybrid_update_pooled(
     state: &mut MixedPrecisionState,
     grads: &[f32],
     subgroups: &[SubgroupSpec],
     cfg: PipelineConfig,
     tracer: Option<&Tracer>,
-    pool: Option<&ArenaPool>,
+    pool: &ArenaPool,
 ) -> Result<PipelineReport, PipelineError> {
     if grads.len() != state.len() {
         return Err(PipelineError::GradientLengthMismatch {
@@ -409,17 +363,6 @@ fn hybrid_update_inner(
     let mut worker_lost: Option<String> = None;
     let mut fp16 = vec![F16::ZERO; state.len()];
     let fault = cfg.fault_injection;
-    // Staging buffers come from an arena: the caller's long-lived pool when
-    // provided, otherwise a step-local one (still zero-copy *within* the
-    // step once the first stride's buffers cycle back).
-    let local_pool;
-    let pool = match pool {
-        Some(p) => p,
-        None => {
-            local_pool = ArenaPool::new();
-            &local_pool
-        }
-    };
 
     // Every k-th dynamic subgroup goes to the device, and so do the
     // trailing static residents. The CPU thread walks this plan in order,
@@ -560,7 +503,15 @@ mod tests {
         let (expected_p, expected_16) = reference(n);
         let (mut state, grads) = setup(n);
         let sgs = partition_into_subgroups(n, 64);
-        let report = hybrid_update(&mut state, &grads, &sgs, PipelineConfig::default()).unwrap();
+        let report = hybrid_update_pooled(
+            &mut state,
+            &grads,
+            &sgs,
+            PipelineConfig::default(),
+            None,
+            &ArenaPool::new(),
+        )
+        .unwrap();
         assert_eq!(state.params(), &expected_p[..]);
         assert_eq!(report.fp16_params, expected_16);
         assert!(report.device_subgroups > 0);
@@ -582,7 +533,9 @@ mod tests {
             let (mut state, grads) = setup(n);
             let sgs = partition_into_subgroups(n, 33);
             let cfg = PipelineConfig { stride, ..PipelineConfig::default() };
-            let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+            let report =
+                hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &ArenaPool::new())
+                    .unwrap();
             assert_eq!(state.params(), &expected_p[..], "stride {stride:?} diverged");
             if matches!(stride, StridePolicy::CpuOnly) {
                 assert_eq!(report.device_subgroups, 0);
@@ -604,7 +557,8 @@ mod tests {
             static_residents: 2,
             ..PipelineConfig::default()
         };
-        let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &ArenaPool::new()).unwrap();
         assert_eq!(report.device_subgroups, 2);
         assert_eq!(report.cpu_subgroups, 4);
         assert_eq!(state.params(), &expected_p[..]);
@@ -619,7 +573,15 @@ mod tests {
         for step in 0..5 {
             let g: Vec<f32> = grads.iter().map(|x| x * (step as f32 + 1.0)).collect();
             seq.full_step(&g);
-            hybrid_update(&mut hyb, &g, &sgs, PipelineConfig::default()).unwrap();
+            hybrid_update_pooled(
+                &mut hyb,
+                &g,
+                &sgs,
+                PipelineConfig::default(),
+                None,
+                &ArenaPool::new(),
+            )
+            .unwrap();
         }
         assert_eq!(seq.params(), hyb.params());
         assert_eq!(seq.momentum(), hyb.momentum());
@@ -633,9 +595,15 @@ mod tests {
         let (mut state, grads) = setup(n);
         let sgs = partition_into_subgroups(n, 64);
         let tracer = Tracer::new();
-        let report =
-            hybrid_update_traced(&mut state, &grads, &sgs, PipelineConfig::default(), &tracer)
-                .unwrap();
+        let report = hybrid_update_pooled(
+            &mut state,
+            &grads,
+            &sgs,
+            PipelineConfig::default(),
+            Some(&tracer),
+            &ArenaPool::new(),
+        )
+        .unwrap();
         assert_eq!(state.params(), &expected_p[..]);
         assert_eq!(report.fp16_params, expected_16);
 
@@ -676,7 +644,15 @@ mod tests {
         let (mut state, grads) = setup(100);
         let before = state.params().to_vec();
         let sgs = partition_into_subgroups(90, 30);
-        let err = hybrid_update(&mut state, &grads, &sgs, PipelineConfig::default()).unwrap_err();
+        let err = hybrid_update_pooled(
+            &mut state,
+            &grads,
+            &sgs,
+            PipelineConfig::default(),
+            None,
+            &ArenaPool::new(),
+        )
+        .unwrap_err();
         match &err {
             PipelineError::SubgroupTiling { detail } => {
                 assert!(detail.contains("cover the space"), "unexpected detail: {detail}")
@@ -692,7 +668,15 @@ mod tests {
         let (mut state, _) = setup(100);
         let sgs = partition_into_subgroups(100, 25);
         let short = vec![0.0f32; 60];
-        let err = hybrid_update(&mut state, &short, &sgs, PipelineConfig::default()).unwrap_err();
+        let err = hybrid_update_pooled(
+            &mut state,
+            &short,
+            &sgs,
+            PipelineConfig::default(),
+            None,
+            &ArenaPool::new(),
+        )
+        .unwrap_err();
         assert_eq!(err, PipelineError::GradientLengthMismatch { expected: 100, got: 60 });
     }
 
@@ -711,7 +695,10 @@ mod tests {
         expected.full_step(&grads);
         let mut expected_16 = vec![F16::ZERO; n];
         kernels::downscale_reference(expected.params(), &mut expected_16);
-        let shipped = hybrid_update(&mut setup(n).0, &grads, &sgs, cfg).unwrap().device_subgroups;
+        let shipped =
+            hybrid_update_pooled(&mut setup(n).0, &grads, &sgs, cfg, None, &ArenaPool::new())
+                .unwrap()
+                .device_subgroups;
         assert_eq!(shipped, 8, "every 2nd of 13 dynamic subgroups + 2 residents");
         for kill_after in 0..=shipped {
             for fault in
@@ -719,7 +706,9 @@ mod tests {
             {
                 let mut state = setup(n).0;
                 let cfg = PipelineConfig { fault_injection: Some(fault), ..cfg };
-                let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+                let report =
+                    hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &ArenaPool::new())
+                        .unwrap();
                 assert_eq!(state, expected, "{fault:?} diverged");
                 assert_eq!(report.fp16_params, expected_16, "{fault:?} fp16 diverged");
                 let lost = report.degraded.as_ref().map_or(0, |d| d.lost_jobs_retried_on_cpu);
@@ -747,7 +736,8 @@ mod tests {
             static_residents: 3,
             fault_injection: Some(DeviceFault::DisconnectAfter(1)),
         };
-        let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &ArenaPool::new()).unwrap();
         assert_eq!(state.params(), &expected_p[..]);
         assert!(report.degraded.is_some());
         assert_eq!(report.device_subgroups + report.cpu_subgroups, sgs.len());
@@ -763,7 +753,9 @@ mod tests {
             fault_injection: Some(DeviceFault::PanicAfter(2)),
             ..Default::default()
         };
-        let report = hybrid_update_traced(&mut state, &grads, &sgs, cfg, &tracer).unwrap();
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &ArenaPool::new())
+                .unwrap();
         assert!(report.degraded.is_some());
         let events = tracer.events();
         let on = |track: &str, prefix: &str| {
@@ -826,7 +818,7 @@ mod tests {
 #[cfg(all(test, feature = "check"))]
 mod check_tests {
     use crate::sync::sched::{run_with_scheduler, PendingOp, Pick, Tid};
-    use crate::{hybrid_update, DeviceFault, PipelineConfig};
+    use crate::{hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig};
     use dos_optim::{MixedPrecisionState, UpdateRule};
     use dos_zero::partition_into_subgroups;
 
@@ -846,9 +838,15 @@ mod check_tests {
                 move || {
                     let mut state = MixedPrecisionState::new(init, UpdateRule::adam(), 0.01);
                     let sgs = partition_into_subgroups(n, 8);
-                    let report =
-                        hybrid_update(&mut state, &grads, &sgs, PipelineConfig::default())
-                            .unwrap();
+                    let report = hybrid_update_pooled(
+                        &mut state,
+                        &grads,
+                        &sgs,
+                        PipelineConfig::default(),
+                        None,
+                        &ArenaPool::new(),
+                    )
+                    .unwrap();
                     (state.params().to_vec(), report.device_subgroups)
                 },
                 |_, enabled: &[(Tid, PendingOp)]| {
@@ -893,7 +891,15 @@ mod check_tests {
                             fault_injection: Some(fault),
                             ..PipelineConfig::default()
                         };
-                        let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
+                        let report = hybrid_update_pooled(
+                            &mut state,
+                            &grads,
+                            &sgs,
+                            cfg,
+                            None,
+                            &ArenaPool::new(),
+                        )
+                        .unwrap();
                         let lost = report.degraded.map_or(0, |d| d.lost_jobs_retried_on_cpu);
                         (state, report.fp16_params, lost)
                     },

@@ -1,6 +1,6 @@
 //! ZenFlow-style stall-free cross-iteration updates (functional clock).
 //!
-//! The paper's update phase — and [`crate::hybrid_update`], its functional
+//! The paper's update phase — and [`crate::hybrid_update_pooled`], its functional
 //! twin — runs *inside* the iteration barrier: the next forward pass waits
 //! for every subgroup update. ZenFlow (arXiv 2505.12242) breaks that
 //! barrier with an **importance partition**: the top-p subgroups by

@@ -2,7 +2,7 @@
 //! gradients, subgroup size, stride, and resident set, the threaded
 //! hybrid update is bitwise identical to the sequential baseline.
 
-use dos_core::{hybrid_update, PipelineConfig, StridePolicy};
+use dos_core::{hybrid_update_pooled, ArenaPool, PipelineConfig, StridePolicy};
 use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_tensor::F16;
 use dos_zero::partition_into_subgroups;
@@ -46,7 +46,9 @@ proptest! {
             static_residents: residents.min(subgroups.len()),
             ..PipelineConfig::default()
         };
-        let report = hybrid_update(&mut hybrid, &grads, &subgroups, cfg).unwrap();
+        let pool = ArenaPool::new();
+        let report =
+            hybrid_update_pooled(&mut hybrid, &grads, &subgroups, cfg, None, &pool).unwrap();
 
         prop_assert_eq!(reference.params(), hybrid.params());
         prop_assert_eq!(reference.momentum(), hybrid.momentum());
@@ -70,6 +72,7 @@ proptest! {
         let subgroups = partition_into_subgroups(n, sg_size);
         let mut seq = MixedPrecisionState::new(init.clone(), UpdateRule::adam(), 0.01);
         let mut hyb = MixedPrecisionState::new(init, UpdateRule::adam(), 0.01);
+        let pool = ArenaPool::new();
         for s in 0..steps {
             let grads: Vec<f32> = (0..n).map(|i| ((i + s) as f32 * 0.7).cos() * 0.1).collect();
             seq.full_step(&grads);
@@ -78,7 +81,7 @@ proptest! {
                 static_residents: s % 3,
                 ..PipelineConfig::default()
             };
-            hybrid_update(&mut hyb, &grads, &subgroups, cfg).unwrap();
+            hybrid_update_pooled(&mut hyb, &grads, &subgroups, cfg, None, &pool).unwrap();
         }
         prop_assert_eq!(seq.params(), hyb.params());
     }

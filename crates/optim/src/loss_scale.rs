@@ -80,28 +80,40 @@ impl DynamicLossScaler {
     /// should proceed; `false` if an overflow was detected — the gradients
     /// are zeroed, the step must be skipped, and the scale has been reduced.
     pub fn unscale_check(&mut self, grads: &mut [f32]) -> bool {
+        let finite = self.unscale(grads);
+        if !finite {
+            grads.fill(0.0);
+        }
+        self.update(!finite);
+        finite
+    }
+
+    /// Unscales `grads` in place up to the first non-finite value; returns
+    /// whether all were finite. Leaves the scale alone, so data-parallel
+    /// ranks can agree on a verdict before each calls [`Self::update`].
+    pub fn unscale(&self, grads: &mut [f32]) -> bool {
         let inv = 1.0 / self.scale;
-        let mut overflow = false;
         for g in grads.iter_mut() {
             if !g.is_finite() {
-                overflow = true;
-                break;
+                return false;
             }
             *g *= inv;
         }
+        true
+    }
+
+    /// Advances the scale dynamics past one step, overflowed or clean.
+    pub fn update(&mut self, overflow: bool) {
         if overflow {
-            grads.fill(0.0);
             self.scale = (self.scale * self.backoff_factor).max(1.0);
             self.clean_steps = 0;
             self.overflows += 1;
-            false
         } else {
             self.clean_steps += 1;
             if self.clean_steps >= self.growth_interval {
                 self.scale = (self.scale * self.growth_factor).min(f32::MAX / 4.0);
                 self.clean_steps = 0;
             }
-            true
         }
     }
 }
@@ -154,6 +166,20 @@ mod tests {
         assert_eq!(s.scale(), 4.0);
         assert!(s.unscale_check(&mut [1.0]));
         assert_eq!(s.scale(), 4.0, "counter restarted after overflow");
+    }
+
+    #[test]
+    fn a_shared_verdict_overrides_the_local_one() {
+        // A rank whose own gradients are finite still backs off when a
+        // peer overflowed, so every rank's scale stays the same.
+        let mut s = DynamicLossScaler::new(8.0);
+        let mut g = vec![8.0f32];
+        assert!(s.unscale(&mut g));
+        assert_eq!(g, vec![1.0]);
+        assert_eq!(s.scale(), 8.0, "unscale alone leaves the dynamics alone");
+        s.update(true);
+        assert_eq!(s.scale(), 4.0);
+        assert_eq!(s.overflow_count(), 1);
     }
 
     #[test]

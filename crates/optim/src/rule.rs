@@ -41,6 +41,17 @@ pub enum UpdateRule {
 }
 
 impl UpdateRule {
+    /// The rule family's configuration name: `"adam"`, `"adamw"` (Adam
+    /// with weight decay), `"adagrad"` or `"rmsprop"`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            UpdateRule::Adam { weight_decay, .. } if *weight_decay != 0.0 => "adamw",
+            UpdateRule::Adam { .. } => "adam",
+            UpdateRule::Adagrad { .. } => "adagrad",
+            UpdateRule::RmsProp { .. } => "rmsprop",
+        }
+    }
+
     /// Adam with the conventional defaults (β₁=0.9, β₂=0.999, ε=1e-8).
     pub fn adam() -> UpdateRule {
         UpdateRule::Adam { beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0 }

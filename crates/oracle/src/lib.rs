@@ -6,7 +6,7 @@
 //! 1. the closed-form Equation 1 model ([`dos_core::PerfModel`]),
 //! 2. the discrete-event simulator (`dos-sim` driven by the
 //!    `dos-core` schedulers), and
-//! 3. the functional threaded pipeline ([`dos_core::hybrid_update`]).
+//! 3. the functional threaded pipeline ([`dos_core::hybrid_update_pooled`]).
 //!
 //! This crate runs the same scenarios through all of them and reports
 //! divergences:

@@ -3,7 +3,7 @@
 //!
 //! §4.1's correctness claim is that out-of-order, cross-device subgroup
 //! updates are *bitwise* identical to updating every subgroup sequentially
-//! on the CPU. The oracle drives [`dos_core::hybrid_update`] (real threads,
+//! on the CPU. The oracle drives [`dos_core::hybrid_update_pooled`] (real threads,
 //! real channels) and a sequential [`MixedPrecisionState::full_step`] twin
 //! through several steps for every update rule × stride policy × resident
 //! count, then compares parameters, momentum, variance, and the downscaled
@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dos_core::{hybrid_update, PipelineConfig, StridePolicy};
+use dos_core::{hybrid_update_pooled, ArenaPool, PipelineConfig, StridePolicy};
 use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_tensor::F16;
 use dos_zero::partition_into_subgroups;
@@ -42,7 +42,7 @@ impl NumericsCase {
     pub fn coordinates(&self) -> String {
         format!(
             "{}/{}/residents={}",
-            rule_name(self.rule),
+            self.rule.name(),
             stride_name(self.stride),
             self.static_residents
         )
@@ -66,17 +66,6 @@ impl NumericsCell {
     /// Cell coordinates for divergence reporting.
     pub fn coordinates(&self) -> String {
         format!("{}/{}/residents={}", self.rule, self.stride, self.static_residents)
-    }
-}
-
-fn rule_name(rule: UpdateRule) -> &'static str {
-    match rule {
-        UpdateRule::Adam { weight_decay, .. } if weight_decay > 0.0 => "adamw",
-        UpdateRule::Adam { .. } => "adam",
-        UpdateRule::Adagrad { .. } => "adagrad",
-        UpdateRule::RmsProp { .. } => "rmsprop",
-        // `UpdateRule` is non_exhaustive; new rules get a generic label.
-        _ => "other",
     }
 }
 
@@ -123,12 +112,13 @@ pub fn run_case(case: &NumericsCase) -> NumericsCell {
         ..PipelineConfig::default()
     };
 
+    let pool = ArenaPool::new();
     let mut mismatch = None;
     for step in 0..case.steps {
         let grads = gradients(case.params, step);
         seq.full_step(&grads);
         let expected_16: Vec<F16> = seq.downscale_range(0..case.params);
-        let report = match hybrid_update(&mut hyb, &grads, &sgs, cfg) {
+        let report = match hybrid_update_pooled(&mut hyb, &grads, &sgs, cfg, None, &pool) {
             Ok(report) => report,
             Err(e) => {
                 mismatch = Some(format!("step {step}: pipeline error: {e}"));
@@ -154,7 +144,7 @@ pub fn run_case(case: &NumericsCase) -> NumericsCell {
     }
 
     NumericsCell {
-        rule: rule_name(case.rule).to_string(),
+        rule: case.rule.name().to_string(),
         stride: stride_name(case.stride),
         static_residents: case.static_residents,
         mismatch,
@@ -254,11 +244,13 @@ mod tests {
         let grads = gradients(case.params, 0);
         seq.full_step(&grads); // extra warm-up step: skewed bias correction
         seq.full_step(&grads);
-        hybrid_update(
+        hybrid_update_pooled(
             &mut hyb,
             &grads,
             &sgs,
             PipelineConfig { stride: case.stride, ..PipelineConfig::default() },
+            None,
+            &ArenaPool::new(),
         )
         .unwrap();
         let m = first_f32_mismatch("params", hyb.params(), seq.params());

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dos_collectives::TransportFaultPlan;
-use dos_core::{hybrid_update, DeviceFault, PipelineConfig};
+use dos_core::{hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig};
 use dos_hal::{FaultPlan, SimTime};
 use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_sim::simulate_iteration_faulted;
@@ -248,11 +248,13 @@ fn check_degraded_pipeline(seed: u64) -> ChaosCheck {
         (0..4).map(|_| (splitmix64(&mut rng) as usize) % shipped.max(1)).collect();
     let mut cases = 0;
     let mut lost_total = 0;
+    let pool = ArenaPool::new();
     for &at in &kill_points {
         for fault in [DeviceFault::PanicAfter(at), DeviceFault::DisconnectAfter(at)] {
             let mut state = MixedPrecisionState::new(init.clone(), UpdateRule::adam(), 0.01);
             let cfg = PipelineConfig { fault_injection: Some(fault), ..Default::default() };
-            let report = match hybrid_update(&mut state, &grads, &subgroups, cfg) {
+            let stepped = hybrid_update_pooled(&mut state, &grads, &subgroups, cfg, None, &pool);
+            let report = match stepped {
                 Ok(r) => r,
                 Err(e) => {
                     return ChaosCheck {

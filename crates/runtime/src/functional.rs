@@ -18,14 +18,15 @@ use dos_collectives::{
 };
 #[cfg(unix)]
 use dos_collectives::SocketTransport;
-use dos_control::{WallClockTuner, WallClockTunerConfig};
-use dos_core::{ArenaPool, PipelineConfig, PipelineError, StridePolicy};
+use dos_control::WallClockTunerConfig;
+use dos_core::PipelineConfig;
 use dos_data::{DataLoader, TokenDataset};
 use dos_nn::{Gpt, GptConfig, VisitParams};
 use dos_optim::{clip_grad_norm, DynamicLossScaler, LrSchedule, MixedPrecisionState, UpdateRule};
-use dos_zero::{partition_into_subgroups, rank_range};
+use dos_zero::rank_range;
 
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
+use dos_train::{DosEntry, TrainerConfig, TrainerError};
 
 /// Everything that can abort a functional training run.
 #[derive(Debug)]
@@ -33,8 +34,8 @@ use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore,
 pub enum TrainError {
     /// Checkpoint persistence or restoration failed.
     Checkpoint(CheckpointError),
-    /// The hybrid update pipeline rejected its inputs.
-    Pipeline(PipelineError),
+    /// A rank's optimizer step rejected its configuration or inputs.
+    Trainer(TrainerError),
     /// A collective operation failed (ranks out of lockstep).
     Collective(CollectiveError),
     /// A rank thread panicked.
@@ -50,7 +51,7 @@ impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TrainError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
-            TrainError::Pipeline(e) => write!(f, "pipeline failure: {e}"),
+            TrainError::Trainer(e) => write!(f, "optimizer step failure: {e}"),
             TrainError::Collective(e) => write!(f, "collective failure: {e}"),
             TrainError::RankPanicked => write!(f, "a rank thread panicked"),
             TrainError::Monitor(detail) => write!(f, "metrics endpoint failure: {detail}"),
@@ -62,7 +63,7 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Checkpoint(e) => Some(e),
-            TrainError::Pipeline(e) => Some(e),
+            TrainError::Trainer(e) => Some(e),
             TrainError::Collective(e) => Some(e),
             _ => None,
         }
@@ -75,9 +76,9 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-impl From<PipelineError> for TrainError {
-    fn from(e: PipelineError) -> Self {
-        TrainError::Pipeline(e)
+impl From<TrainerError> for TrainError {
+    fn from(e: TrainerError) -> Self {
+        TrainError::Trainer(e)
     }
 }
 
@@ -130,10 +131,11 @@ pub struct FunctionalConfig {
     /// Interleaving configuration (stride, static residents).
     pub pipeline: PipelineConfig,
     /// Wall-clock tuner tunables, used when `pipeline.stride` is
-    /// [`StridePolicy::Adaptive`]: stride sweep gates plus the
+    /// [`dos_core::StridePolicy::Adaptive`]: stride sweep gates plus the
     /// resident-sizing policy fed from the arena pool's high-water gauge.
-    /// When `base_residents` is left at 0 it inherits
-    /// `pipeline.static_residents`.
+    /// Each rank's [`dos_train::Trainer`] takes them through
+    /// [`dos_train::Trainer::tune_with`], so a `base_residents` of 0
+    /// inherits `pipeline.static_residents`.
     pub tuner: WallClockTunerConfig,
     /// Seed for model init and data shuffling.
     pub seed: u64,
@@ -498,6 +500,44 @@ fn uds_world(_world: usize, dir: &std::path::Path) -> Result<Vec<Box<dyn Transpo
 /// degraded-step count).
 type RankRun = (Vec<f32>, Vec<f32>, usize);
 
+/// Averages gradients across ranks into this rank's shard (ZeRO's
+/// reduce-scatter); `None` when any rank's scaled gradients overflowed.
+fn exchange_grads(
+    cfg: &FunctionalConfig,
+    comm: &Communicator,
+    scaler: Option<&mut DynamicLossScaler>,
+    mut grads: Vec<f32>,
+) -> Result<Option<Vec<f32>>, TrainError> {
+    // Unscale before any reduction. The overflow verdict is all-reduced,
+    // so every rank skips together and the collectives stay in lockstep.
+    if let Some(s) = scaler {
+        let mut overflow = [if s.unscale(&mut grads) { 0.0 } else { 1.0 }];
+        comm.all_reduce_sum(&mut overflow)?;
+        s.update(overflow[0] > 0.0);
+        if overflow[0] > 0.0 {
+            return Ok(None);
+        }
+    }
+    let (rank, world) = (comm.rank(), comm.world_size());
+    let inv = 1.0 / world as f32;
+    // Global-norm clipping must see the *averaged full* gradient so all
+    // ranks compute the same scale; do it before the scatter.
+    if let Some(max_norm) = cfg.grad_clip {
+        comm.all_reduce_sum(&mut grads)?;
+        for g in grads.iter_mut() {
+            *g *= inv;
+        }
+        clip_grad_norm(&mut grads, max_norm);
+        // Already averaged: scatter without re-reducing.
+        return Ok(Some(grads[rank_range(grads.len(), rank, world)].to_vec()));
+    }
+    let mut shard_grads = comm.reduce_scatter_sum(&grads)?;
+    for g in shard_grads.iter_mut() {
+        *g *= inv;
+    }
+    Ok(Some(shard_grads))
+}
+
 /// One rank's training loop.
 fn run_rank(
     cfg: &FunctionalConfig,
@@ -525,7 +565,7 @@ fn run_rank(
     let padded_n = init.len();
     let shard = rank_range(padded_n, rank, world);
     let resume_at = resume.map_or(0, |c| c.iteration);
-    let mut state = match resume {
+    let state = match resume {
         // Snapshots hold the full optimizer state, so any world size can
         // resume: zero-pad the full space to this world's padded size and
         // slice out this rank's shard. The pad region's state is exactly
@@ -540,18 +580,16 @@ fn run_rank(
                 }
                 .into());
             }
-            let p = pad_to_multiple(restored.params().to_vec(), world);
-            let m = pad_to_multiple(restored.momentum().to_vec(), world);
-            let v = pad_to_multiple(restored.variance().to_vec(), world);
             // Fast-forward the data stream past the iterations already done
             // so the resumed run sees the batches an uninterrupted one would.
             for _ in 0..ckpt.iteration {
                 let _ = loader.next_batch(dataset);
             }
+            let cut = |full: &[f32]| pad_to_multiple(full.to_vec(), world)[shard.clone()].to_vec();
             MixedPrecisionState::from_parts(
-                p[shard.clone()].to_vec(),
-                m[shard.clone()].to_vec(),
-                v[shard.clone()].to_vec(),
+                cut(restored.params()),
+                cut(restored.momentum()),
+                cut(restored.variance()),
                 restored.rule(),
                 restored.lr(),
                 restored.step_count(),
@@ -559,31 +597,22 @@ fn run_rank(
         }
         None => MixedPrecisionState::new(init[shard.clone()].to_vec(), cfg.rule, cfg.lr),
     };
-    let subgroups = partition_into_subgroups(shard.len(), cfg.subgroup_size);
-
-    // Adaptive stride: each rank runs a wall-clock tuner that re-solves
-    // Equation 1 from the pipeline's own spans every iteration. Stride
-    // changes never affect the numerics (§4.1), so ranks may retune
-    // independently without breaking cross-rank consistency. The tuner
-    // reads spans from the shared tracer when one is configured,
-    // otherwise from a private per-rank tracer.
-    let mut tuner = (cfg.pipeline.stride == StridePolicy::Adaptive).then(|| {
-        let t = cfg.tracer.clone().unwrap_or_default();
-        let mut tcfg = cfg.tuner;
-        if tcfg.base_residents == 0 {
-            tcfg.base_residents = cfg.pipeline.static_residents;
-        }
-        (WallClockTuner::new(tcfg, shard.len(), cfg.subgroup_size), t)
-    });
-
-    // Per-rank staging arena: the hybrid pipeline leases its subgroup
-    // buffers here instead of allocating per subgroup, and the pool's
-    // high-water gauge is the memory signal the headroom policy observes.
-    // With a tracer attached, the gauges flow into its metrics registry.
-    let pool = match &cfg.tracer {
-        Some(t) => ArenaPool::with_metrics(t.metrics().clone()),
-        None => ArenaPool::new(),
-    };
+    let mut trainer = TrainerConfig {
+        static_residents: cfg.pipeline.static_residents,
+        deep_optimizer_states: DosEntry {
+            update_stride: cfg.pipeline.stride.into(),
+            ..DosEntry::default()
+        },
+        ..TrainerConfig::new(shard.len(), cfg.subgroup_size)
+    }
+    .assemble(state, resume_at)?;
+    trainer.inject_fault(cfg.pipeline.fault_injection);
+    // Under an adaptive stride every rank retunes on its own: stride
+    // changes never move the numerics (§4.1), so the ranks stay consistent.
+    trainer.tune_with(cfg.tuner);
+    if let Some(t) = &cfg.tracer {
+        trainer.trace_into(t.clone());
+    }
 
     let store = match &cfg.checkpoint_dir {
         Some(dir) if rank == 0 => Some(CheckpointStore::open(dir, cfg.checkpoint_keep)?),
@@ -622,111 +651,42 @@ fn run_rank(
 
         drop(fwd_span);
 
-        // Average gradients across ranks; keep only this rank's shard
-        // (ZeRO's reduce-scatter).
         let comm_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("grad-exchange:it{it}"), "communicate"));
-        let mut grads = pad_to_multiple(model.gather_grads(), world);
-        // Unscale (and overflow-check) before any reduction; all ranks see
-        // the same values, so the skip decision is globally consistent.
-        if let Some(s) = scaler.as_mut() {
-            if !s.unscale_check(&mut grads) {
-                // Overflow: skip this step (gradients were zeroed, so the
-                // collectives below still participate and stay in lockstep).
-            }
-        }
-        let inv = 1.0 / world as f32;
-        // Global-norm clipping must see the *averaged full* gradient so all
-        // ranks compute the same scale; do it before the scatter.
-        if let Some(max_norm) = cfg.grad_clip {
-            comm.all_reduce_sum(&mut grads)?;
-            for g in grads.iter_mut() {
-                *g *= inv;
-            }
-            clip_grad_norm(&mut grads, max_norm);
-            // Already averaged: scatter without re-reducing.
-        }
-        let mut shard_grads = if cfg.grad_clip.is_some() {
-            let shard = rank_range(grads.len(), rank, world);
-            grads[shard].to_vec()
-        } else {
-            comm.reduce_scatter_sum(&grads)?
-        };
-        if cfg.grad_clip.is_none() {
-            for g in shard_grads.iter_mut() {
-                *g *= inv;
-            }
-        }
+        let grads = pad_to_multiple(model.gather_grads(), world);
+        let shard_grads = exchange_grads(cfg, &comm, scaler.as_mut(), grads)?;
         drop(comm_span);
-        if let Some(schedule) = cfg.lr_schedule {
-            state.set_lr(schedule.lr_at(it as u64 + 1));
-        }
-
-        // Interleaved hybrid update of this rank's shard (real threads,
-        // Algorithm 1's structure).
-        let report = match &mut tuner {
-            Some((tun, tt)) => {
-                let mut pipeline = cfg.pipeline;
-                pipeline.stride = tun.stride_policy();
-                pipeline.static_residents = tun.static_residents();
-                let mark = tt.now();
-                let report = {
-                    let _sp = tt.span(&format!("hybrid-update:it{it}"), "update");
-                    dos_core::hybrid_update_pooled(
-                        &mut state,
-                        &shard_grads,
-                        &subgroups,
-                        pipeline,
-                        Some(tt),
-                        &pool,
-                    )
-                }?;
-                // Feed only this iteration's spans back; under a shared
-                // tracer, concurrent ranks' spans in the same window are
-                // equally valid samples of the contended machine.
-                let fresh: Vec<_> =
-                    tt.events().into_iter().filter(|ev| ev.start >= mark).collect();
-                let before = tun.decisions().len();
-                tun.observe(&fresh);
-                // The arena's per-iteration staging peak drives the
-                // resident-sizing policy (a no-op under Fixed).
-                tun.observe_arena(pool.take_high_water_bytes());
-                if rank == 0 && cfg.tracer.is_some() {
-                    for d in &tun.decisions()[before..] {
-                        tt.control_decision(&d.detail, tt.now());
-                    }
+        if let Some(shard_grads) = shard_grads {
+            if let Some(schedule) = cfg.lr_schedule {
+                trainer.set_lr(schedule.lr_at(it as u64 + 1));
+            }
+            // Interleaved hybrid update of this rank's shard (real
+            // threads, Algorithm 1's structure).
+            let before = trainer.tuner().map_or(0, |t| t.decisions().len());
+            let update_span =
+                cfg.tracer.as_ref().map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
+            let report = trainer.step(&shard_grads)?;
+            drop(update_span);
+            if report.degraded.is_some() {
+                degraded_steps += 1;
+            }
+            if let (0, Some(t), Some(tuner)) = (rank, &cfg.tracer, trainer.tuner()) {
+                for d in &tuner.decisions()[before..] {
+                    t.control_decision(&d.detail, t.now());
                 }
-                report
             }
-            None => {
-                let _sp = cfg
-                    .tracer
-                    .as_ref()
-                    .map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
-                dos_core::hybrid_update_pooled(
-                    &mut state,
-                    &shard_grads,
-                    &subgroups,
-                    cfg.pipeline,
-                    cfg.tracer.as_ref(),
-                    &pool,
-                )?
-            }
-        };
-        if report.degraded.is_some() {
-            degraded_steps += 1;
-        }
 
-        // All-gather the updated FP16 parameters (the device copies every
-        // rank trains the next iteration with).
-        let gather_span =
-            cfg.tracer.as_ref().map(|t| t.span(&format!("all-gather:it{it}"), "communicate"));
-        let shard_fp16: Vec<f32> = report.fp16_params.iter().map(|h| h.to_f32()).collect();
-        let mut full = comm.all_gather(&shard_fp16)?;
-        full.truncate(model.num_params());
-        model.scatter_params(&full);
+            // All-gather the updated FP16 parameters (the device copies
+            // every rank trains the next iteration with).
+            let gather_span =
+                cfg.tracer.as_ref().map(|t| t.span(&format!("all-gather:it{it}"), "communicate"));
+            let shard_fp16: Vec<f32> = report.fp16_params.iter().map(|h| h.to_f32()).collect();
+            let mut full = comm.all_gather(&shard_fp16)?;
+            full.truncate(model.num_params());
+            model.scatter_params(&full);
+            drop(gather_span);
+        }
         model.zero_grads();
-        drop(gather_span);
 
         // Snapshot at update boundaries and write in the background (the
         // DataStates-style asynchronous flush the host-resident state
@@ -736,9 +696,10 @@ fn run_rank(
         // and persists. The capture is an owned copy, so training
         // continues immediately.
         if cfg.checkpoint_dir.is_some() && (it + 1).is_multiple_of(cfg.checkpoint_every.max(1)) {
-            let mut p = comm.all_gather_var(state.params())?;
-            let mut m = comm.all_gather_var(state.momentum())?;
-            let mut v = comm.all_gather_var(state.variance())?;
+            let shard = trainer.state();
+            let mut p = comm.all_gather_var(shard.params())?;
+            let mut m = comm.all_gather_var(shard.momentum())?;
+            let mut v = comm.all_gather_var(shard.variance())?;
             if let Some(store) = &store {
                 let n = model.num_params();
                 p.truncate(n);
@@ -748,9 +709,9 @@ fn run_rank(
                     p,
                     m,
                     v,
-                    state.rule(),
-                    state.lr(),
-                    state.step_count(),
+                    shard.rule(),
+                    shard.lr(),
+                    shard.step_count(),
                 );
                 let snapshot = TrainingCheckpoint {
                     params: model.gather_params(),
@@ -764,7 +725,7 @@ fn run_rank(
         // Average the loss across ranks for reporting.
         let mut l = vec![loss];
         comm.all_reduce_sum(&mut l)?;
-        losses.push(l[0] * inv);
+        losses.push(l[0] * (1.0 / world as f32));
     }
     checkpointer.drain()?;
     let finals = model.gather_params();
@@ -1059,6 +1020,24 @@ mod loss_scaling_tests {
         assert_eq!(plain.losses, scaled.losses);
         assert_eq!(plain.final_params, scaled.final_params);
         assert!(scaled.ranks_consistent);
+    }
+
+    #[test]
+    fn overflowed_steps_are_skipped_on_every_rank() {
+        // A huge learning rate blows the weights up, so iteration 3's
+        // gradients overflow on both ranks: that step must leave the
+        // parameters exactly where iteration 2 left them.
+        let ds = toy_dataset(8);
+        let cfg = FunctionalConfig { loss_scale: Some(1.0), lr: 3e4, ..FunctionalConfig::small() };
+        let three = train_functional(&cfg, &ds, 3).unwrap();
+        let four = train_functional(&cfg, &ds, 4).unwrap();
+        assert!(!four.losses[3].is_finite(), "iteration 3 must overflow: {:?}", four.losses);
+        assert!(four.ranks_consistent);
+        assert_eq!(
+            three.final_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            four.final_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+            "the overflowed step moved the parameters"
+        );
     }
 }
 

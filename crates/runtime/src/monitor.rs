@@ -84,18 +84,9 @@ fn resolve_config(config_json: &str) -> Result<TrainerConfig, String> {
         // A small representative shard: big enough for several subgroups
         // and real device/CPU interleaving, small enough to step quickly.
         TrainerConfig {
-            params: 6144,
-            subgroup_size: 512,
-            rule: "adam".to_string(),
-            weight_decay: 0.0,
-            lr: 0.01,
             static_residents: 1,
-            scheduler: "hybrid".to_string(),
-            importance_ratio: 0.1,
-            staleness_bound: 1,
             deep_optimizer_states: rc.deep_optimizer_states,
-            monitor: None,
-            collectives: None,
+            ..TrainerConfig::new(6144, 512)
         }
     };
     // Monitoring on, whatever the document said: that is the point of the

@@ -2,7 +2,7 @@
 
 use dos_core::{DeepOptimizerStates, NvmeOffload, TwinFlow, Zero3Offload};
 use dos_sim::{
-    simulate_iteration, simulate_iteration_traced, simulate_training, IterationReport,
+    simulate_iteration, simulate_iteration_faulted, simulate_training, IterationReport,
     TrainingReport, UpdateScheduler,
 };
 use dos_telemetry::Tracer;
@@ -59,7 +59,7 @@ pub fn trace_iteration(config: &RuntimeConfig) -> Result<(IterationReport, Trace
     let train = config.resolve()?;
     let sched = scheduler_for(config);
     let tracer = Tracer::new();
-    let report = simulate_iteration_traced(&train, sched.as_ref(), &tracer)
+    let report = simulate_iteration_faulted(&train, sched.as_ref(), None, &tracer)
         .map_err(|e| ConfigError::Invalid { detail: e.to_string() })?;
     Ok((report, tracer))
 }

@@ -27,9 +27,8 @@ mod runner;
 pub use config::{GradientPath, TrainConfig};
 pub use report::{IterationReport, ResourceUtilization, TrainingReport};
 pub use runner::{
-    simulate_iteration, simulate_iteration_faulted, simulate_iteration_slowest,
-    simulate_iteration_traced, simulate_training, simulate_training_controlled,
-    simulate_training_timeline, simulate_training_with_checkpoints, CheckpointPolicy,
-    ControlledIteration, IterationController, UpdateScheduler,
+    simulate_iteration, simulate_iteration_faulted, simulate_iteration_slowest, simulate_training,
+    simulate_training_controlled, simulate_training_timeline, simulate_training_with_checkpoints,
+    CheckpointPolicy, ControlledIteration, IterationController, UpdateScheduler,
 };
 pub use scenario::{FlushHandles, IterationScenario};

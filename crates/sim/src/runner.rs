@@ -84,7 +84,7 @@ pub fn simulate_iteration(
     cfg: &TrainConfig,
     sched: &dyn UpdateScheduler,
 ) -> Result<IterationReport, SimError> {
-    simulate_iteration_for(cfg, sched, 0)
+    simulate_iteration_for(cfg, sched, 0, None, None)
 }
 
 /// Like [`simulate_iteration`], additionally replaying the engine's full
@@ -95,23 +95,11 @@ pub fn simulate_iteration(
 /// `analyze_tracer` segments interleaved phases correctly. The returned
 /// report is identical to the untraced run (tracing only observes).
 ///
-/// # Errors
-///
-/// Propagates engine errors, exactly as [`simulate_iteration`].
-pub fn simulate_iteration_traced(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    tracer: &dos_telemetry::Tracer,
-) -> Result<IterationReport, SimError> {
-    simulate_iteration_faulted(cfg, sched, None, tracer)
-}
-
-/// Like [`simulate_iteration_traced`], additionally installing a
-/// [`dos_hal::FaultPlan`] on the rank's engine before any op is submitted:
-/// transfers hit degradation windows and failure/retry rules, injected
-/// fault occurrences replay into `tracer` as `fault:` instants on the
-/// `faults` track, and exhausted retries surface as
-/// [`SimError::TransferFault`]. `faults: None` is exactly the traced run.
+/// A [`dos_hal::FaultPlan`] in `faults` is installed on the rank's engine
+/// before any op is submitted: transfers hit degradation windows and
+/// failure/retry rules, injected fault occurrences replay into `tracer` as
+/// `fault:` instants on the `faults` track, and exhausted retries surface
+/// as [`SimError::TransferFault`]. `faults: None` is the plain traced run.
 ///
 /// # Errors
 ///
@@ -125,60 +113,23 @@ pub fn simulate_iteration_faulted(
     faults: Option<&dos_hal::FaultPlan>,
     tracer: &dos_telemetry::Tracer,
 ) -> Result<IterationReport, SimError> {
-    let mut scn = IterationScenario::new_for_rank(cfg.clone(), 0);
-    if let Some(plan) = faults {
-        scn.rank.sim.install_fault_plan(plan.clone());
-    }
-    let fwd = scn.run_forward(None)?;
+    simulate_iteration_for(cfg, sched, 0, faults, Some(tracer))
+}
+
+/// Submits one iteration's forward and backward passes after `after`,
+/// repeated for every gradient-accumulation micro-step; returns the first
+/// forward op and the last backward op.
+fn forward_backward(
+    scn: &mut IterationScenario,
+    after: Option<OpId>,
+) -> Result<(OpId, OpId), SimError> {
+    let fwd = scn.run_forward(after)?;
     let mut bwd = scn.run_backward(fwd)?;
-    for _ in 1..cfg.grad_accumulation.max(1) {
+    for _ in 1..scn.cfg.grad_accumulation.max(1) {
         let f = scn.run_forward(Some(bwd))?;
         bwd = scn.run_backward(f)?;
     }
-    let upd = sched.schedule_update(&mut scn, bwd)?;
-    scn.record_into(tracer);
-    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
-    tracer.phase_boundary("forward", 0.0, t_fwd);
-    tracer.phase_boundary("backward", t_fwd, t_bwd);
-    tracer.phase_boundary("update", t_bwd, t_upd);
-    finalize_report(cfg, sched, scn, fwd, bwd, upd)
-}
-
-fn finalize_report(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    scn: IterationScenario,
-    fwd: OpId,
-    bwd: OpId,
-    upd: OpId,
-) -> Result<IterationReport, SimError> {
-    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
-    let makespan = scn.rank.sim.makespan().as_secs();
-
-    let model_flops = 3.0 * cfg.spec.forward_flops(cfg.micro_batch) * cfg.grad_accumulation as f64;
-    let params_per_rank = cfg.params_per_rank() as f64;
-    let update_secs = t_upd - t_bwd;
-
-    Ok(IterationReport {
-        scheduler: sched.name().to_string(),
-        model: cfg.spec.name.clone(),
-        forward_secs: t_fwd,
-        backward_secs: t_bwd - t_fwd,
-        update_secs,
-        total_secs: t_upd,
-        spill_secs: (makespan - t_upd).max(0.0),
-        tflops_per_gpu: model_flops / t_upd / 1e12,
-        update_pps_per_rank: if update_secs > 0.0 { params_per_rank / update_secs } else { 0.0 },
-        gpu_peak_bytes: scn.rank.hbm.peak_usage(),
-        oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
-        host_oom: scn.rank.dram.validate().err().map(|e| e.to_string()),
-        update_utilization: window_utilization(&scn, t_bwd, t_upd),
-        timeline: scn.timeline(),
-    })
+    Ok((fwd, bwd))
 }
 
 /// Simulates `iterations` back-to-back iterations in one engine, so that
@@ -215,27 +166,31 @@ pub fn simulate_training_timeline(
     let mut prev_update: Option<OpId> = None;
     let mut ends = Vec::with_capacity(iterations);
     for _ in 0..iterations {
-        let fwd = scn.run_forward(prev_update)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
+        let (_, bwd) = forward_backward(&mut scn, prev_update)?;
         let upd = sched.schedule_update(&mut scn, bwd)?;
         prev_update = Some(upd);
         ends.push(scn.rank.sim.finish_time(upd).as_secs());
     }
-    let total = scn.rank.sim.makespan().as_secs();
-    let report = TrainingReport {
+    Ok((training_report(cfg, sched, &scn, ends), scn.timeline()))
+}
+
+/// The report of a multi-iteration run whose iterations ended at `ends`.
+fn training_report(
+    cfg: &TrainConfig,
+    sched: &dyn UpdateScheduler,
+    scn: &IterationScenario,
+    ends: Vec<f64>,
+) -> TrainingReport {
+    let iterations = ends.len();
+    TrainingReport {
         scheduler: sched.name().to_string(),
         model: cfg.spec.name.clone(),
         iterations,
-        total_secs: total,
+        total_secs: scn.rank.sim.makespan().as_secs(),
         avg_iteration_secs: ends.last().copied().unwrap_or(0.0) / iterations.max(1) as f64,
         iteration_ends: ends,
         oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
-    };
-    Ok((report, scn.timeline()))
+    }
 }
 
 /// One iteration's plan, produced by an [`IterationController`] before the
@@ -291,29 +246,14 @@ pub fn simulate_training_controlled(
         if let Some(offload) = plan.offload {
             it_cfg.offload = offload;
         }
-        let mut scn = IterationScenario::new_for_rank(it_cfg.clone(), 0);
-        if let Some(faults) = &plan.faults {
-            scn.rank.sim.install_fault_plan(faults.clone());
-        }
-        let fwd = scn.run_forward(None)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..it_cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
-        let upd = plan.scheduler.schedule_update(&mut scn, bwd)?;
-        if let Some((tracer, index)) = trace {
-            if index == i {
-                scn.record_into(tracer);
-                let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-                let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-                let t_upd = scn.rank.sim.finish_time(upd).as_secs();
-                tracer.phase_boundary("forward", 0.0, t_fwd);
-                tracer.phase_boundary("backward", t_fwd, t_bwd);
-                tracer.phase_boundary("update", t_bwd, t_upd);
-            }
-        }
-        let report = finalize_report(&it_cfg, plan.scheduler.as_ref(), scn, fwd, bwd, upd)?;
+        let tracer = trace.filter(|&(_, index)| index == i).map(|(tracer, _)| tracer);
+        let report = simulate_iteration_for(
+            &it_cfg,
+            plan.scheduler.as_ref(),
+            0,
+            plan.faults.as_ref(),
+            tracer,
+        )?;
         controller.observe_iteration(i, &report);
         reports.push(report);
     }
@@ -362,12 +302,7 @@ pub fn simulate_training_with_checkpoints(
     let mut prev_update: Option<OpId> = None;
     let mut ends = Vec::with_capacity(iterations);
     for i in 0..iterations {
-        let fwd = scn.run_forward(prev_update)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
+        let (_, bwd) = forward_backward(&mut scn, prev_update)?;
         let upd = sched.schedule_update(&mut scn, bwd)?;
         let mut boundary = upd;
         if (i + 1) % policy.every == 0 {
@@ -389,16 +324,7 @@ pub fn simulate_training_with_checkpoints(
         prev_update = Some(boundary);
         ends.push(scn.rank.sim.finish_time(boundary).as_secs());
     }
-    let total = scn.rank.sim.makespan().as_secs();
-    Ok(TrainingReport {
-        scheduler: sched.name().to_string(),
-        model: cfg.spec.name.clone(),
-        iterations,
-        total_secs: total,
-        avg_iteration_secs: ends.last().copied().unwrap_or(0.0) / iterations.max(1) as f64,
-        iteration_ends: ends,
-        oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
-    })
+    Ok(training_report(cfg, sched, &scn, ends))
 }
 
 /// Simulates every data-parallel rank and returns the slowest one's report
@@ -415,7 +341,7 @@ pub fn simulate_iteration_slowest(
 ) -> Result<IterationReport, SimError> {
     let mut slowest: Option<IterationReport> = None;
     for rank in 0..cfg.world {
-        let report = simulate_iteration_for(cfg, sched, rank)?;
+        let report = simulate_iteration_for(cfg, sched, rank, None, None)?;
         if slowest.as_ref().is_none_or(|r| report.total_secs > r.total_secs) {
             slowest = Some(report);
         }
@@ -423,20 +349,52 @@ pub fn simulate_iteration_slowest(
     Ok(slowest.expect("world >= 1"))
 }
 
+/// Simulates one iteration of `rank` on a fresh engine, with `faults`
+/// installed before any op is submitted and, with a `tracer`, the engine's
+/// schedule and phase boundaries replayed into it.
 fn simulate_iteration_for(
     cfg: &TrainConfig,
     sched: &dyn UpdateScheduler,
     rank: usize,
+    faults: Option<&dos_hal::FaultPlan>,
+    tracer: Option<&dos_telemetry::Tracer>,
 ) -> Result<IterationReport, SimError> {
     let mut scn = IterationScenario::new_for_rank(cfg.clone(), rank);
-    let fwd = scn.run_forward(None)?;
-    let mut bwd = scn.run_backward(fwd)?;
-    for _ in 1..cfg.grad_accumulation.max(1) {
-        let f = scn.run_forward(Some(bwd))?;
-        bwd = scn.run_backward(f)?;
+    if let Some(plan) = faults {
+        scn.rank.sim.install_fault_plan(plan.clone());
     }
+    let (fwd, bwd) = forward_backward(&mut scn, None)?;
     let upd = sched.schedule_update(&mut scn, bwd)?;
-    finalize_report(cfg, sched, scn, fwd, bwd, upd)
+    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
+    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
+    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
+    if let Some(tracer) = tracer {
+        scn.record_into(tracer);
+        tracer.phase_boundary("forward", 0.0, t_fwd);
+        tracer.phase_boundary("backward", t_fwd, t_bwd);
+        tracer.phase_boundary("update", t_bwd, t_upd);
+    }
+    let makespan = scn.rank.sim.makespan().as_secs();
+    let model_flops = 3.0 * cfg.spec.forward_flops(cfg.micro_batch) * cfg.grad_accumulation as f64;
+    let params_per_rank = cfg.params_per_rank() as f64;
+    let update_secs = t_upd - t_bwd;
+
+    Ok(IterationReport {
+        scheduler: sched.name().to_string(),
+        model: cfg.spec.name.clone(),
+        forward_secs: t_fwd,
+        backward_secs: t_bwd - t_fwd,
+        update_secs,
+        total_secs: t_upd,
+        spill_secs: (makespan - t_upd).max(0.0),
+        tflops_per_gpu: model_flops / t_upd / 1e12,
+        update_pps_per_rank: if update_secs > 0.0 { params_per_rank / update_secs } else { 0.0 },
+        gpu_peak_bytes: scn.rank.hbm.peak_usage(),
+        oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
+        host_oom: scn.rank.dram.validate().err().map(|e| e.to_string()),
+        update_utilization: window_utilization(&scn, t_bwd, t_upd),
+        timeline: scn.timeline(),
+    })
 }
 
 #[cfg(test)]
@@ -496,7 +454,7 @@ mod tests {
         );
         let plain = simulate_iteration(&cfg, &NaiveCpu).unwrap();
         let tracer = dos_telemetry::Tracer::new();
-        let traced = simulate_iteration_traced(&cfg, &NaiveCpu, &tracer).unwrap();
+        let traced = simulate_iteration_faulted(&cfg, &NaiveCpu, None, &tracer).unwrap();
         // Tracing only observes: the report is unchanged.
         assert_eq!(traced.total_secs, plain.total_secs);
         assert_eq!(traced.timeline, plain.timeline);
@@ -601,18 +559,17 @@ mod fault_injection_tests {
 
     #[test]
     fn no_faults_matches_traced_run_exactly() {
+        let plain = simulate_iteration(&cfg(), &NaiveCpu).unwrap();
         let tracer = dos_telemetry::Tracer::new();
-        let traced = simulate_iteration_traced(&cfg(), &NaiveCpu, &tracer).unwrap();
-        let t2 = dos_telemetry::Tracer::new();
-        let faulted = simulate_iteration_faulted(&cfg(), &NaiveCpu, None, &t2).unwrap();
-        assert_eq!(faulted.total_secs, traced.total_secs);
-        assert_eq!(faulted.timeline, traced.timeline);
+        let faulted = simulate_iteration_faulted(&cfg(), &NaiveCpu, None, &tracer).unwrap();
+        assert_eq!(faulted.total_secs, plain.total_secs);
+        assert_eq!(faulted.timeline, plain.timeline);
     }
 
     #[test]
     fn traced_run_emits_phase_boundaries_for_the_analyzer() {
         let tracer = dos_telemetry::Tracer::new();
-        let r = simulate_iteration_traced(&cfg(), &NaiveCpu, &tracer).unwrap();
+        let r = simulate_iteration_faulted(&cfg(), &NaiveCpu, None, &tracer).unwrap();
         let bounds = tracer.phase_boundaries();
         let names: Vec<&str> = bounds.iter().map(|b| b.phase.as_str()).collect();
         assert_eq!(names, ["forward", "backward", "update"]);

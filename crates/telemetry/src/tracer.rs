@@ -419,6 +419,22 @@ impl Tracer {
         evs
     }
 
+    /// Events recorded after `mark` (a prior [`Tracer::len`]) that start at
+    /// or after `since`, sorted by start. Only that tail is materialized; a
+    /// flight-only tracer's bounded ring is searched instead.
+    pub fn events_since(&self, mark: usize, since: f64) -> Vec<TraceEvent> {
+        let mut evs: Vec<TraceEvent> = match (self.inner.store_events, &self.inner.flight) {
+            (false, Some(flight)) => flight.events(),
+            _ => {
+                let raw = self.inner.events.lock();
+                raw.get(mark..).unwrap_or_default().iter().map(|ev| self.materialize(ev)).collect()
+            }
+        };
+        evs.retain(|ev| ev.start >= since);
+        evs.sort_by(|a, b| a.start.total_cmp(&b.start));
+        evs
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.inner.events.lock().len()
@@ -537,6 +553,22 @@ mod tests {
         assert_eq!(evs[0].dur, 1.5);
         assert_eq!(evs[0].work, 42.0);
         assert_eq!(evs[0].resource, "gpu");
+    }
+
+    #[test]
+    fn events_since_reads_only_the_tail_after_the_mark() {
+        for tr in [Tracer::new(), Tracer::flight_only(16)] {
+            tr.record_span("t", "", "old", "p", 0.0, 1.0, 0.0);
+            let mark = tr.len();
+            // Recorded after the mark but started before `since`: a span
+            // that straddles the window's start is not the window's.
+            tr.record_span("t", "", "straddle", "p", 1.0, 3.0, 0.0);
+            tr.record_span("t", "", "late", "p", 2.5, 3.0, 0.0);
+            tr.record_span("t", "", "early", "p", 2.0, 2.5, 0.0);
+            let names: Vec<String> =
+                tr.events_since(mark, 2.0).into_iter().map(|e| e.name).collect();
+            assert_eq!(names, ["early", "late"]);
+        }
     }
 
     #[test]

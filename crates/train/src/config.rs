@@ -125,6 +125,17 @@ impl StrideEntry {
     }
 }
 
+impl From<StridePolicy> for StrideEntry {
+    fn from(policy: StridePolicy) -> StrideEntry {
+        match policy {
+            StridePolicy::Fixed(k) => StrideEntry::Fixed(k),
+            StridePolicy::Auto => StrideEntry::Auto,
+            StridePolicy::CpuOnly => StrideEntry::Named(NamedStride::CpuOnly),
+            StridePolicy::Adaptive => StrideEntry::Named(NamedStride::Adaptive),
+        }
+    }
+}
+
 /// The optional `"monitor"` JSON entry: production monitoring.
 ///
 /// When present, [`TrainerConfig::build`] attaches a flight-only
@@ -289,6 +300,25 @@ fn default_staleness_bound() -> usize {
 }
 
 impl TrainerConfig {
+    /// A document for a shard of `params` parameters in subgroups of
+    /// `subgroup_size`, every other field at its JSON default.
+    pub fn new(params: usize, subgroup_size: usize) -> TrainerConfig {
+        TrainerConfig {
+            params,
+            subgroup_size,
+            rule: default_rule(),
+            weight_decay: 0.0,
+            lr: default_lr(),
+            static_residents: 0,
+            scheduler: default_scheduler(),
+            importance_ratio: default_importance_ratio(),
+            staleness_bound: default_staleness_bound(),
+            deep_optimizer_states: DosEntry::default(),
+            monitor: None,
+            collectives: None,
+        }
+    }
+
     /// Parses a configuration from JSON.
     ///
     /// # Errors
@@ -553,6 +583,24 @@ mod tests {
                 ),
                 "{bad}"
             );
+        }
+    }
+
+    #[test]
+    fn new_matches_the_minimal_document() {
+        let parsed = TrainerConfig::from_json(r#"{ "params": 8, "subgroup_size": 4 }"#).unwrap();
+        assert_eq!(TrainerConfig::new(8, 4), parsed);
+    }
+
+    #[test]
+    fn stride_entries_round_trip_through_policies() {
+        for entry in [
+            StrideEntry::Fixed(3),
+            StrideEntry::Auto,
+            StrideEntry::Named(NamedStride::CpuOnly),
+            StrideEntry::Named(NamedStride::Adaptive),
+        ] {
+            assert_eq!(StrideEntry::from(entry.to_policy()), entry);
         }
     }
 

@@ -8,7 +8,9 @@
 //! partitioning, and the `"deep_optimizer_states"` entry) resolves into a
 //! [`Trainer`] that steps a [`dos_optim::MixedPrecisionState`] through
 //! [`dos_core::hybrid_update_pooled`] with a per-trainer staging
-//! [`dos_core::ArenaPool`].
+//! [`dos_core::ArenaPool`]. Under `"update_stride": "adaptive"` the
+//! trainer retunes stride and residents every step with a
+//! [`dos_control::WallClockTuner`].
 //!
 //! It sits *below* `dos-runtime` in the crate graph on purpose:
 //! `dos-check`'s differential fuzzer drives its numerics arm through this

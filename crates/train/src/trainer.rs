@@ -1,23 +1,20 @@
 //! The [`Trainer`] facade: a JSON-configured optimizer shard stepped
 //! through the zero-copy hybrid-update pipeline.
 
+use dos_control::{WallClockTuner, WallClockTunerConfig};
 use dos_core::{
-    hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig, PipelineReport,
-    ZenFlowPipeline,
+    hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig, PipelineReport, StridePolicy,
+    ZenFlowPipeline, CPU_TRACK, DEVICE_TRACK,
 };
-use dos_optim::MixedPrecisionState;
+use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_telemetry::{
-    window_stats, HealthBoard, HealthEvent, HealthMonitor, IterationReport, Tracer, HEALTH_TRACK,
+    window_stats, HealthBoard, HealthEvent, HealthMonitor, IterationReport, TraceEvent, Tracer,
+    HEALTH_TRACK,
 };
 use dos_zero::{partition_into_subgroups, SubgroupSpec};
 
 use crate::checkpoint::TrainingCheckpoint;
 use crate::config::{TrainerConfig, TrainerError};
-
-/// Track names the pipeline records its spans on (kept in sync with
-/// `dos-core`'s hybrid-update pipeline).
-const CPU_TRACK: &str = "cpu";
-const DEVICE_TRACK: &str = "device-worker";
 
 /// A functional trainer over one flat optimizer shard.
 ///
@@ -25,7 +22,9 @@ const DEVICE_TRACK: &str = "device-worker";
 /// entry, partitioning — so that anything reachable through a
 /// configuration file exercises the exact production code path:
 /// [`hybrid_update_pooled`] with a per-trainer [`ArenaPool`], never a
-/// hand-assembled pipeline call.
+/// hand-assembled pipeline call. [`Trainer::step`] is the one optimizer
+/// step: the single-process facade and every data-parallel rank of
+/// `dos-runtime`'s functional trainer call it.
 #[derive(Debug)]
 pub struct Trainer {
     cfg: TrainerConfig,
@@ -34,18 +33,20 @@ pub struct Trainer {
     pipeline: PipelineConfig,
     pool: ArenaPool,
     steps_taken: usize,
+    /// The monitoring tracer, or one given to [`Trainer::trace_into`].
+    tracer: Option<Tracer>,
     monitoring: Option<Monitoring>,
+    tuning: Option<Tuning>,
     /// Present when `"scheduler": "zenflow_async"` is configured: the
     /// cross-iteration bounded-staleness update driver that replaces the
     /// in-barrier hybrid pipeline.
     zenflow: Option<ZenFlowPipeline>,
 }
 
-/// Per-trainer monitoring state: a flight-only tracer feeding the ring
-/// and metrics, plus the online health detectors and their board.
+/// Per-trainer monitoring state: the online health detectors and their
+/// board, fed from the trainer's tracer.
 #[derive(Debug)]
 struct Monitoring {
-    tracer: Tracer,
     /// Whether detector events are emitted (instants + board); the EWMA
     /// baselines are maintained either way.
     detect: bool,
@@ -55,6 +56,14 @@ struct Monitoring {
     last_events: Vec<HealthEvent>,
     prev_hits: u64,
     prev_misses: u64,
+}
+
+/// Online retuning for `"update_stride": "adaptive"`. Without a tracer of
+/// the trainer's own, spans go to `private`, cleared after every step.
+#[derive(Debug)]
+struct Tuning {
+    tuner: WallClockTuner,
+    private: Tracer,
 }
 
 impl Trainer {
@@ -76,6 +85,34 @@ impl Trainer {
         self.pipeline.fault_injection = fault;
     }
 
+    /// Records later steps (spans, byte counters, arena gauges) into
+    /// `tracer`, e.g. one shared by data-parallel ranks. Call it before the
+    /// first step: the arena is rebuilt around the tracer's registry.
+    pub fn trace_into(&mut self, tracer: Tracer) {
+        self.pool = ArenaPool::with_metrics(tracer.metrics().clone());
+        self.tracer = Some(tracer);
+    }
+
+    /// Restarts the adaptive stride's tuner with `tunables`; a
+    /// `base_residents` of 0 inherits `static_residents`. Ignored unless
+    /// the hybrid scheduler runs an adaptive stride.
+    pub fn tune_with(&mut self, mut tunables: WallClockTunerConfig) {
+        if self.zenflow.is_some() || self.pipeline.stride != StridePolicy::Adaptive {
+            return;
+        }
+        if tunables.base_residents == 0 {
+            tunables.base_residents = self.cfg.static_residents;
+        }
+        let tuner = WallClockTuner::new(tunables, self.cfg.params, self.cfg.subgroup_size);
+        self.tuning = Some(Tuning { tuner, private: Tracer::new() });
+    }
+
+    /// Sets the learning rate of every later step (LR schedules).
+    pub fn set_lr(&mut self, lr: f32) {
+        self.state.set_lr(lr);
+        self.cfg.lr = lr;
+    }
+
     /// Runs one optimizer step over the full shard.
     ///
     /// # Errors
@@ -92,7 +129,15 @@ impl Trainer {
                 ),
             });
         }
-        let window_start = self.monitoring.as_ref().map(|m| m.tracer.now());
+        let mut pipeline = self.pipeline;
+        if let Some(t) = &self.tuning {
+            pipeline.stride = t.tuner.stride_policy();
+            pipeline.static_residents = t.tuner.static_residents();
+        }
+        let tracer = self.tracer.clone().or_else(|| self.tuning.as_ref().map(|t| t.private.clone()));
+        // Where this step's events begin, when someone reads them back.
+        let observed = self.monitoring.is_some() || self.tuning.is_some();
+        let mark = tracer.as_ref().filter(|_| observed).map(|t| (t.len(), t.now()));
         let wall = std::time::Instant::now();
         let report = match &mut self.zenflow {
             Some(zf) => {
@@ -119,14 +164,23 @@ impl Trainer {
                 &mut self.state,
                 grads,
                 &self.subgroups,
-                self.pipeline,
-                self.monitoring.as_ref().map(|m| &m.tracer),
+                pipeline,
+                tracer.as_ref(),
                 &self.pool,
             )?,
         };
+        let iter_secs = wall.elapsed().as_secs_f64();
         self.steps_taken += 1;
-        if let Some(start) = window_start {
-            self.observe_iteration(start, wall.elapsed().as_secs_f64(), &report);
+        if let (Some(t), Some((len, start))) = (&tracer, mark) {
+            let events = t.events_since(len, start);
+            self.observe_iteration(start, iter_secs, &events, &report);
+            if let Some(tuning) = &mut self.tuning {
+                tuning.tuner.observe(&events);
+                // The arena's per-step staging peak drives the
+                // resident-sizing policy (a no-op under a fixed policy).
+                tuning.tuner.observe_arena(self.pool.take_high_water_bytes());
+                tuning.private.clear();
+            }
         }
         Ok(report)
     }
@@ -135,20 +189,22 @@ impl Trainer {
     /// [`IterationReport`], runs the detectors, emits `health:*` instants
     /// (a `health:degraded` instant also triggers the flight recorder's
     /// automatic dump), and publishes to the board.
-    fn observe_iteration(&mut self, window_start: f64, iter_secs: f64, report: &PipelineReport) {
+    fn observe_iteration(
+        &mut self,
+        window_start: f64,
+        iter_secs: f64,
+        window_events: &[TraceEvent],
+        report: &PipelineReport,
+    ) {
         let params = self.cfg.params;
         let steps_taken = self.steps_taken;
         let hits = self.pool.reuse_hits();
         let misses = self.pool.allocation_misses();
         let high_water = self.pool.high_water_bytes();
-        let Some(mon) = self.monitoring.as_mut() else { return };
-        let window_end = mon.tracer.now();
-        let window_events = match mon.tracer.flight() {
-            Some(flight) => flight.events(),
-            None => mon.tracer.events(),
-        };
+        let (Some(mon), Some(tracer)) = (self.monitoring.as_mut(), &self.tracer) else { return };
+        let window_end = tracer.now();
         let (stall_fraction, overlap_efficiency) =
-            window_stats(&window_events, CPU_TRACK, DEVICE_TRACK, window_start, window_end);
+            window_stats(window_events, CPU_TRACK, DEVICE_TRACK, window_start, window_end);
         let iter = IterationReport {
             iteration: (steps_taken - 1) as u64,
             iter_secs,
@@ -168,7 +224,7 @@ impl Trainer {
         let events = mon.health.observe(&iter);
         if mon.detect {
             for ev in &events {
-                mon.tracer.instant_at(HEALTH_TRACK, ev.kind.instant_name(), "health", window_end);
+                tracer.instant_at(HEALTH_TRACK, ev.kind.instant_name(), "health", window_end);
             }
             mon.board.publish(iter, &events, &mon.health);
         } else {
@@ -188,9 +244,7 @@ impl Trainer {
     /// accumulated gradient applied before the state is copied, so the
     /// checkpoint is never torn across a cross-iteration update.
     pub fn checkpoint(&mut self) -> TrainingCheckpoint {
-        if let Some(zf) = &mut self.zenflow {
-            zf.drain(&mut self.state);
-        }
+        self.drain();
         TrainingCheckpoint {
             params: self.state.params().to_vec(),
             optimizer: self.state.clone(),
@@ -218,6 +272,11 @@ impl Trainer {
     /// The resolved configuration.
     pub fn config(&self) -> &TrainerConfig {
         &self.cfg
+    }
+
+    /// The optimizer shard (under ZenFlow, [`Trainer::drain`] first).
+    pub fn state(&self) -> &MixedPrecisionState {
+        &self.state
     }
 
     /// The FP32 master parameters.
@@ -250,11 +309,16 @@ impl Trainer {
         &self.pool
     }
 
-    /// The monitoring tracer, when a `monitor` entry is configured. Its
-    /// flight recorder and [`dos_telemetry::MetricsRegistry`] carry the
-    /// live observability state.
+    /// The tracer steps record into: the monitoring tracer (its flight
+    /// recorder and [`dos_telemetry::MetricsRegistry`] carry the live
+    /// observability state), or the one given to [`Trainer::trace_into`].
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.monitoring.as_ref().map(|m| &m.tracer)
+        self.tracer.as_ref()
+    }
+
+    /// The wall-clock tuner of an adaptive stride, with its decision log.
+    pub fn tuner(&self) -> Option<&WallClockTuner> {
+        self.tuning.as_ref().map(|t| &t.tuner)
     }
 
     /// The health board, when monitoring is configured.
@@ -284,14 +348,7 @@ impl TrainerConfig {
     /// Returns [`TrainerError::Invalid`] for zero shapes, unknown rule
     /// names, or a length mismatch between `init` and `params`.
     pub fn build(self, init: Vec<f32>) -> Result<Trainer, TrainerError> {
-        self.validate()?;
-        if init.len() != self.params {
-            return Err(TrainerError::Invalid {
-                detail: format!("init length {} != params {}", init.len(), self.params),
-            });
-        }
-        let rule = self.resolve_rule()?;
-        let state = MixedPrecisionState::new(init, rule, self.lr);
+        let state = MixedPrecisionState::new(init, self.resolve_rule()?, self.lr);
         self.assemble(state, 0)
     }
 
@@ -305,32 +362,40 @@ impl TrainerConfig {
     /// Returns [`TrainerError::Invalid`] for an unresolvable config or a
     /// checkpoint whose shard length disagrees with `params`.
     pub fn resume(self, checkpoint: &TrainingCheckpoint) -> Result<Trainer, TrainerError> {
-        self.validate()?;
-        self.resolve_rule()?;
-        if checkpoint.optimizer.len() != self.params {
-            return Err(TrainerError::Invalid {
-                detail: format!(
-                    "checkpoint shard length {} != params {}",
-                    checkpoint.optimizer.len(),
-                    self.params
-                ),
-            });
-        }
         self.assemble(checkpoint.optimizer.clone(), checkpoint.iteration)
     }
 
-    /// Shared tail of [`TrainerConfig::build`]/[`TrainerConfig::resume`]:
-    /// wires the pipeline, partition, monitoring, and staging arena around
-    /// an already-constructed optimizer state.
-    fn assemble(
-        self,
+    /// Builds a [`Trainer`] around an optimizer shard that has already
+    /// taken `steps_taken` steps (`build` and `resume` delegate here). The
+    /// state's rule and learning rate win over the document's, and
+    /// [`Trainer::config`] reports them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainerError::Invalid`] for an unresolvable config or a
+    /// state whose length disagrees with `params`.
+    pub fn assemble(
+        mut self,
         state: MixedPrecisionState,
         steps_taken: usize,
     ) -> Result<Trainer, TrainerError> {
+        self.validate()?;
+        if state.len() != self.params {
+            return Err(TrainerError::Invalid {
+                detail: format!("optimizer state length {} != params {}", state.len(), self.params),
+            });
+        }
+        if self.resolve_rule()? != state.rule() {
+            self.rule = state.rule().name().to_string();
+            if let UpdateRule::Adam { weight_decay, .. } = state.rule() {
+                self.weight_decay = weight_decay;
+            }
+        }
+        self.lr = state.lr();
         let pipeline = self.pipeline();
         let subgroups = partition_into_subgroups(self.params, self.subgroup_size);
+        let flight_capacity = self.monitor.as_ref().map(|entry| entry.flight_capacity);
         let monitoring = self.monitor.as_ref().map(|entry| Monitoring {
-            tracer: Tracer::flight_only(entry.flight_capacity),
             detect: entry.health,
             health: HealthMonitor::default(),
             board: HealthBoard::new(),
@@ -339,23 +404,34 @@ impl TrainerConfig {
             prev_hits: 0,
             prev_misses: 0,
         });
-        // The arena publishes its gauges into the monitoring tracer's
-        // registry so `/metrics` sees `arena.{in_use,high_water}_bytes`.
-        let pool = match &monitoring {
-            Some(mon) => ArenaPool::with_metrics(mon.tracer.metrics().clone()),
-            None => ArenaPool::new(),
-        };
         let zenflow = self
             .is_zenflow()
             .then(|| ZenFlowPipeline::new(subgroups.clone(), self.zenflow()));
-        Ok(Trainer { cfg: self, state, subgroups, pipeline, pool, steps_taken, monitoring, zenflow })
+        let mut trainer = Trainer {
+            cfg: self,
+            state,
+            subgroups,
+            pipeline,
+            pool: ArenaPool::new(),
+            steps_taken,
+            tracer: None,
+            monitoring,
+            tuning: None,
+            zenflow,
+        };
+        // Monitoring records into a flight-only tracer, whose registry also
+        // carries the arena's gauges (`/metrics` reads them from there).
+        if let Some(capacity) = flight_capacity {
+            trainer.trace_into(Tracer::flight_only(capacity));
+        }
+        trainer.tune_with(WallClockTunerConfig::default());
+        Ok(trainer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dos_optim::UpdateRule;
 
     fn init(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.37).sin()).collect()
@@ -599,6 +675,75 @@ mod tests {
         let (ls, lz) = (loss(sync.params()), loss(zen.params()));
         assert!(ls < 0.2 * initial, "baseline failed to converge: {ls:.6} vs {initial:.6}");
         assert!(lz < 0.5 * initial, "zenflow failed to converge: {lz:.6} vs {initial:.6}");
+    }
+
+    #[test]
+    fn adaptive_json_stride_retunes_without_changing_numerics() {
+        use dos_control::ResidentPolicy;
+        let n = 96;
+        let doc = |stride: &str| {
+            format!(
+                r#"{{ "params": 96, "subgroup_size": 8, "static_residents": 4,
+                      "deep_optimizer_states": {{ "update_stride": {stride} }} }}"#
+            )
+        };
+        let mut fixed = Trainer::from_json(&doc("2"), init(n)).unwrap();
+        let mut adaptive = Trainer::from_json(&doc(r#""adaptive""#), init(n)).unwrap();
+        assert!(fixed.tuner().is_none());
+        // Hopeless staging budget: every step's arena high-water overshoots
+        // it, so the headroom policy must shrink the resident tail.
+        adaptive.tune_with(WallClockTunerConfig {
+            residents: ResidentPolicy::Headroom { fraction: 1.0, cap: 0.5 },
+            host_budget_bytes: 1,
+            ..WallClockTunerConfig::default()
+        });
+        for step in 0..5 {
+            let g = grads(n, step);
+            let a = fixed.step(&g).unwrap();
+            let b = adaptive.step(&g).unwrap();
+            assert_eq!(a.fp16_params, b.fp16_params, "step {step}");
+        }
+        assert_eq!(fixed.params(), adaptive.params());
+        assert_eq!(fixed.momentum(), adaptive.momentum());
+        assert_eq!(fixed.variance(), adaptive.variance());
+        let decisions: Vec<&str> =
+            adaptive.tuner().unwrap().decisions().iter().map(|d| d.detail.as_str()).collect();
+        assert!(
+            decisions.iter().any(|d| d.starts_with("residents 4->")),
+            "expected a resident-shrink decision, saw {decisions:?}"
+        );
+    }
+
+    #[test]
+    fn adaptive_private_tracer_holds_no_more_than_one_step() {
+        let n = 96;
+        let json = r#"{ "params": 96, "subgroup_size": 8,
+                        "deep_optimizer_states": { "update_stride": "adaptive" } }"#;
+        let mut trainer = Trainer::from_json(json, init(n)).unwrap();
+        assert!(trainer.tracer().is_none(), "the tuner records privately");
+        for step in 0..20 {
+            trainer.step(&grads(n, step)).unwrap();
+            let private = &trainer.tuning.as_ref().unwrap().private;
+            assert_eq!(private.len(), 0, "step {step}: the private tracer must not grow");
+        }
+        assert!(trainer.tuner().unwrap().estimated_inputs().is_some(), "the spans were observed");
+    }
+
+    #[test]
+    fn assembled_trainer_reports_the_state_rule_and_lr() {
+        let state = MixedPrecisionState::new(init(8), UpdateRule::adamw(0.1), 0.5);
+        let mut trainer = TrainerConfig::new(8, 4).assemble(state, 3).unwrap();
+        assert_eq!(trainer.steps_taken(), 3);
+        let cfg = trainer.config();
+        assert_eq!((cfg.rule.as_str(), cfg.weight_decay, cfg.lr), ("adamw", 0.1, 0.5));
+        assert_eq!(cfg.resolve_rule().unwrap(), trainer.state().rule());
+        trainer.set_lr(0.25);
+        assert_eq!((trainer.config().lr, trainer.state().lr()), (0.25, 0.25));
+        let short = MixedPrecisionState::new(init(7), UpdateRule::adam(), 0.5);
+        assert!(matches!(
+            TrainerConfig::new(8, 4).assemble(short, 0),
+            Err(TrainerError::Invalid { .. })
+        ));
     }
 
     #[test]

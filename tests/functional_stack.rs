@@ -2,7 +2,7 @@
 //! data-parallel threads → collectives → sharded optimizer → interleaved
 //! hybrid pipeline, with real numerics end to end.
 
-use dos::core::{hybrid_update, PipelineConfig, StridePolicy};
+use dos::core::{hybrid_update_pooled, ArenaPool, PipelineConfig, StridePolicy};
 use dos::data::{BpeTokenizer, Corpus, TokenDataset};
 use dos::nn::{Gpt, GptConfig, VisitParams};
 use dos::optim::{GradPrecision, MixedPrecisionState, ModelOptimizer, UpdateRule};
@@ -74,6 +74,7 @@ fn pipeline_matches_reference_optimizer() {
     };
 
     let mut loader = dos::data::DataLoader::new(0, 1, 2, 5);
+    let pool = ArenaPool::new();
     for _ in 0..4 {
         let batch = loader.next_batch(&dataset);
         let l1 = ref_model.loss_and_backward(&batch.inputs, &batch.targets, batch.batch, batch.seq_len);
@@ -83,7 +84,8 @@ fn pipeline_matches_reference_optimizer() {
         ref_opt.step(&mut ref_model);
 
         let grads = pipe_model.gather_grads();
-        let report = hybrid_update(&mut state, &grads, &subgroups, pipe_cfg).unwrap();
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &subgroups, pipe_cfg, None, &pool).unwrap();
         let fp16: Vec<f32> = report.fp16_params.iter().map(|h| h.to_f32()).collect();
         pipe_model.scatter_params(&fp16);
         pipe_model.zero_grads();
@@ -105,6 +107,7 @@ fn pipeline_configurations_agree_at_scale() {
     let mut reference = MixedPrecisionState::new(init.clone(), UpdateRule::adamw(0.01), 0.01);
     reference.full_step(&grads);
 
+    let pool = ArenaPool::new();
     for (stride, residents) in [
         (StridePolicy::Fixed(2), 0),
         (StridePolicy::Fixed(2), 3),
@@ -114,7 +117,7 @@ fn pipeline_configurations_agree_at_scale() {
     ] {
         let mut state = MixedPrecisionState::new(init.clone(), UpdateRule::adamw(0.01), 0.01);
         let cfg = PipelineConfig { stride, static_residents: residents, ..Default::default() };
-        hybrid_update(&mut state, &grads, &subgroups, cfg).unwrap();
+        hybrid_update_pooled(&mut state, &grads, &subgroups, cfg, None, &pool).unwrap();
         assert_eq!(
             reference.params(),
             state.params(),
