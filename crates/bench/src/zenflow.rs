@@ -70,6 +70,11 @@ pub struct ZenFlowBenchReport {
     pub gain_vs_sync: f64,
     /// `zero3_avg_secs / zenflow_async_avg_secs`.
     pub gain_vs_zero3: f64,
+    /// `dos_avg_secs / zenflow_async_avg_secs`; below 1 while DOS's
+    /// interleaved offload stays ahead. Reported, not gated; `0.0` when
+    /// read from a baseline written before the field existed.
+    #[serde(default)]
+    pub gain_vs_dos: f64,
 }
 
 /// Runs the pinned config: 20B on JLSE 4×H100, importance ratio 0.1,
@@ -114,6 +119,7 @@ pub fn run_zenflow_bench() -> Result<ZenFlowBenchReport, String> {
         cold_spill_secs: steady.spill_secs,
         gain_vs_sync: sync_avg / async_avg,
         gain_vs_zero3: zero3_avg / async_avg,
+        gain_vs_dos: dos_avg / async_avg,
     })
 }
 
@@ -180,7 +186,7 @@ pub fn render(report: &ZenFlowBenchReport) -> String {
         "{} — {} on {}, ratio {}, S={}, {} iteration(s)\n\
            zero3 {:.3}s | dos {:.3}s | zenflow S=0 {:.3}s | zenflow async {:.3}s\n\
            joined update {:.3}s, deferred cold {:.3}s\n\
-           gains: {:.2}x vs synchronous drain, {:.2}x vs zero3\n",
+           gains: {:.2}x vs synchronous drain, {:.2}x vs zero3, {:.2}x vs dos\n",
         report.schema,
         report.model,
         report.profile,
@@ -195,6 +201,7 @@ pub fn render(report: &ZenFlowBenchReport) -> String {
         report.cold_spill_secs,
         report.gain_vs_sync,
         report.gain_vs_zero3,
+        report.gain_vs_dos,
     )
 }
 
@@ -242,5 +249,21 @@ mod tests {
         let baseline: ZenFlowBenchReport = serde_json::from_str(&text).unwrap();
         let fresh = run_zenflow_bench().unwrap();
         regression_gate(&fresh, &baseline).unwrap();
+    }
+
+    #[test]
+    fn gain_vs_dos_is_reported_and_defaults_when_absent() {
+        let report = run_zenflow_bench().unwrap();
+        let want = report.dos_avg_secs / report.zenflow_async_avg_secs;
+        assert_eq!(report.gain_vs_dos, want);
+        assert!(report.gain_vs_dos < 1.0, "DOS stays ahead on the pinned config: {report:?}");
+        assert!(render(&report).contains("x vs dos"));
+        let json = serde_json::to_string(&report).unwrap();
+        assert_eq!(serde_json::from_str::<ZenFlowBenchReport>(&json).unwrap(), report);
+        // A baseline written before the field existed still parses.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_10.json");
+        let old: ZenFlowBenchReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(old.gain_vs_dos, 0.0);
     }
 }

@@ -135,7 +135,7 @@ impl ArenaPool {
         inner.high_water_bytes = inner.high_water_bytes.max(inner.in_use_bytes);
         self.publish(&inner);
         drop(inner);
-        buf.clear();
+        // Only a grown tail is zero-filled; the downscale overwrites it all.
         buf.resize(src.len(), F16::ZERO);
         kernels::downscale(src, &mut buf);
         PooledF16 { buf, pool: self.clone() }
@@ -274,6 +274,23 @@ mod tests {
         for (x, h) in src.iter().zip(got.iter()) {
             assert_eq!(h.to_bits(), F16::from_f32(*x).to_bits());
         }
+    }
+
+    #[test]
+    fn recycled_downscale_leases_overwrite_stale_contents() {
+        let pool = ArenaPool::new();
+        let long: Vec<f32> = (0..300).map(|i| (i as f32 * 0.7).cos() * 3.0e4).collect();
+        let short: Vec<f32> = (0..70).map(|i| -(i as f32) * 913.0 - 0.5).collect();
+        let longer: Vec<f32> = (0..1000).map(|i| (i as f32).sin() * 7.0e4 + 1e-7).collect();
+        // One buffer, reused at a shorter and then a longer length.
+        for src in [&long, &short, &longer] {
+            let got = pool.lease_f16_downscaled(src);
+            let mut want = vec![F16::ZERO; src.len()];
+            kernels::downscale_reference(src, &mut want);
+            assert_eq!(&got[..], &want[..], "len {}", src.len());
+        }
+        assert_eq!(pool.allocation_misses(), 1);
+        assert_eq!(pool.reuse_hits(), 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::arena::{ArenaPool, PooledF32};
 use crate::sync;
 
-use dos_optim::{MixedPrecisionState, StateRangeMut, UpdateRule};
+use dos_optim::{kernels as optim_kernels, MixedPrecisionState, StateRangeMut, UpdateRule};
 use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
@@ -154,6 +154,56 @@ struct DeviceJob<'a> {
     g: PooledF32,
 }
 
+/// Elements per fusion block. A subgroup is walked block by block, and
+/// each block's `p`, `g`, `m`, `v` (128 KiB in FP32) stay in L2 from its
+/// update through its downscale and, on the device, its write-back.
+const FUSION_BLOCK: usize = 8192;
+
+/// The `start..end` bounds of the fusion blocks of `len` elements.
+fn fusion_blocks(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len).step_by(FUSION_BLOCK).map(move |a| (a, (a + FUSION_BLOCK).min(len)))
+}
+
+/// Indices into [`StageClock`]'s per-stage times.
+const UPDATE: usize = 0;
+const DOWNSCALE: usize = 1;
+const FLUSH: usize = 2;
+
+/// One subgroup's stage times, summed over its fusion blocks. Each lap
+/// charges the time since the previous one to a stage, so the stages'
+/// spans tile the subgroup's wall-clock time without gaps.
+struct StageClock<'t> {
+    tracer: &'t Tracer,
+    start: f64,
+    last: f64,
+    secs: [f64; 3],
+}
+
+impl<'t> StageClock<'t> {
+    fn start(tracer: &'t Tracer) -> Self {
+        let now = tracer.now();
+        StageClock { tracer, start: now, last: now, secs: [0.0; 3] }
+    }
+
+    fn lap(&mut self, stage: usize) {
+        let now = self.tracer.now();
+        self.secs[stage] += now - self.last;
+        self.last = now;
+    }
+
+    /// Records one `{stage}:sg{id}` span per `(resource, stage, work)`, in
+    /// the order of [`UPDATE`], [`DOWNSCALE`], [`FLUSH`], back to back from
+    /// the subgroup's start.
+    fn record(&self, track: &str, sg: &SubgroupSpec, stages: &[(&str, &str, usize)]) {
+        let mut at = self.start;
+        for (&(resource, stage, work), secs) in stages.iter().zip(self.secs) {
+            let name = format!("{stage}:sg{}", sg.id);
+            self.tracer.record_span(track, resource, &name, "update", at, at + secs, work as f64);
+            at += secs;
+        }
+    }
+}
+
 /// What every subgroup update of one step shares.
 #[derive(Clone, Copy)]
 struct StepCtx<'a> {
@@ -182,19 +232,49 @@ impl StepCtx<'_> {
         })
     }
 
-    /// Local (CPU) update of one subgroup; also the degraded fallback path
-    /// when the device worker is gone. The FP32→FP16 downscale is a
-    /// distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span —
-    /// folding it into the update span would inflate the tuner's `U_c`
-    /// estimate and leave `D_c` unobservable.
+    /// Updates one fusion block and downscales it into `p16`. Untraced,
+    /// this is the fused kernel. Traced, the two kernels run apart over the
+    /// block so each stage's time can be charged separately: the downscale
+    /// is a distinct pipeline stage (`D_c` in Eq. 1), and folding it into
+    /// the update would inflate the tuner's `U_c` estimate and leave `D_c`
+    /// unobservable. Both ways give the same bits. Timing whole blocks
+    /// rather than the fused kernel's 1024-element chunks keeps the
+    /// clock reads to one per stage per block.
+    #[allow(clippy::too_many_arguments)]
+    fn update_block(
+        &self,
+        clock: Option<&mut StageClock<'_>>,
+        p: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        p16: &mut [F16],
+    ) {
+        let Some(clock) = clock else {
+            optim_kernels::apply_downscale(&self.rule, self.step, self.lr, p, g, m, v, p16);
+            return;
+        };
+        self.rule.apply(self.step, self.lr, p, g, m, v);
+        clock.lap(UPDATE);
+        kernels::downscale(p, p16);
+        clock.lap(DOWNSCALE);
+    }
+
+    /// Local (CPU) update of one subgroup, one pass over memory; also the
+    /// degraded fallback path when the device worker is gone. Traced, it
+    /// records back-to-back `update:sg{id}` and `downscale:sg{id}` spans.
     fn cpu_apply(&self, host: HostRange<'_>) {
         let HostRange { sg, state, p16 } = host;
-        {
-            let _span = self.span(CPU_TRACK, "cpu", "update", &sg, sg.len());
-            self.rule.apply(self.step, self.lr, state.p, &self.grads[sg.range()], state.m, state.v);
+        let g = &self.grads[sg.range()];
+        let mut clock = self.tracer.map(StageClock::start);
+        for (a, b) in fusion_blocks(sg.len()) {
+            let (p, m, v) = (&mut state.p[a..b], &mut state.m[a..b], &mut state.v[a..b]);
+            self.update_block(clock.as_mut(), p, &g[a..b], m, v, &mut p16[a..b]);
         }
-        let _span = self.span(CPU_TRACK, "cpu", "downscale", &sg, sg.len());
-        kernels::downscale(state.p, p16);
+        if let Some(clock) = clock {
+            let n = sg.len();
+            clock.record(CPU_TRACK, &sg, &[("cpu", "update", n), ("cpu", "downscale", n)]);
+        }
     }
 
     /// Algorithm 1's prefetch: copies a subgroup's state and gradients into
@@ -215,28 +295,34 @@ impl StepCtx<'_> {
         }
     }
 
-    /// The device side of one job: update the staged copies, downscale
-    /// straight into the host's FP16 range (the D2D `.half()` of Alg. 1),
-    /// then write `p`, `m`, `v` back to the host range (D2H).
+    /// The device side of one job, block by block: update the staged
+    /// block, downscale it straight into the host's FP16 range (the D2D
+    /// `.half()` of Alg. 1), then write its `p`, `m`, `v` back to the host
+    /// range (D2H). Traced, it records back-to-back `update:sg{id}`,
+    /// `downscale:sg{id}` and `flush:sg{id}` spans.
     fn device_apply(&self, job: DeviceJob<'_>) {
-        let DeviceJob { host, mut p, mut m, mut v, g } = job;
-        let sg = host.sg;
-        {
-            let _span = self.span(DEVICE_TRACK, "gpu", "update", &sg, sg.len());
-            self.rule.apply(self.step, self.lr, &mut p, &g, &mut m, &mut v);
+        let DeviceJob { host: HostRange { sg, state, p16 }, mut p, mut m, mut v, g } = job;
+        let mut clock = self.tracer.map(StageClock::start);
+        for (a, b) in fusion_blocks(sg.len()) {
+            let (pb, mb, vb) = (&mut p[a..b], &mut m[a..b], &mut v[a..b]);
+            self.update_block(clock.as_mut(), pb, &g[a..b], mb, vb, &mut p16[a..b]);
+            state.p[a..b].copy_from_slice(pb);
+            state.m[a..b].copy_from_slice(mb);
+            state.v[a..b].copy_from_slice(vb);
+            if let Some(clock) = clock.as_mut() {
+                clock.lap(FLUSH);
+            }
         }
-        {
-            let _span = self.span(DEVICE_TRACK, "gpu", "downscale", &sg, sg.len());
-            kernels::downscale(&p, host.p16);
-        }
-        let _span =
-            self.span(DEVICE_TRACK, "pcie.d2h", "flush", &sg, FLUSH_BYTES_PER_PARAM * sg.len());
-        host.state.p.copy_from_slice(&p);
-        host.state.m.copy_from_slice(&m);
-        host.state.v.copy_from_slice(&v);
-        if let Some(t) = self.tracer {
-            let bytes = (FLUSH_BYTES_PER_PARAM + 2) * sg.len(); // + the FP16 copy
-            t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
+        if let Some(clock) = clock {
+            let n = sg.len();
+            let stages = [
+                ("gpu", "update", n),
+                ("gpu", "downscale", n),
+                ("pcie.d2h", "flush", FLUSH_BYTES_PER_PARAM * n),
+            ];
+            clock.record(DEVICE_TRACK, &sg, &stages);
+            let bytes = (FLUSH_BYTES_PER_PARAM + 2) * n; // + the FP16 copy
+            clock.tracer.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
         }
     }
 }
@@ -283,11 +369,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// so steady-state steps allocate nothing, and its high-water gauge is what
 /// the resident-sizing policy observes.
 ///
+/// Each subgroup is one pass over memory: its update, FP16 downscale and,
+/// on the device, write-back run block by block while the block is in
+/// cache.
+///
 /// With a `tracer`, every stage records a wall-clock span —
 /// `prefetch:sg{id}` (H2D staging), `update:sg{id}` and `downscale:sg{id}`
 /// (`D_c`) on the [`CPU_TRACK`]; `update:sg{id}`, `downscale:sg{id}` and
 /// `flush:sg{id}` (D2H write-back, resource `pcie.d2h`) on the
-/// [`DEVICE_TRACK`] — plus byte counters in its metrics registry. Tracing
+/// [`DEVICE_TRACK`] — plus byte counters in its metrics registry. A
+/// subgroup's update, downscale and flush times are summed over its blocks
+/// and recorded as back-to-back spans from the subgroup's start. Tracing
 /// only observes.
 ///
 /// If the device worker dies mid-step (a panic or a disconnect, injectable
@@ -355,13 +447,17 @@ pub fn hybrid_update_pooled(
     let mut cpu_count = 0usize;
     let mut lost_retried = 0usize;
     // Shipped subgroups whose completion has not arrived yet. The worker
-    // writes a host range back if and only if it then sends the
-    // completion, and nothing between the two can panic; so if the worker
-    // dies, whatever is left here was never written back, and a CPU update
-    // from its untouched host state is byte-exact.
+    // writes a host range back only while it runs that job, block by
+    // block, and sends the completion right after; nothing inside a job
+    // can panic (every slice length is fixed by the tiling), and an
+    // injected fault fires between jobs. So if the worker dies, whatever
+    // is left here was never written back, and a CPU update from its
+    // untouched host state is byte-exact.
     let mut pending: Vec<SubgroupSpec> = Vec::new();
     let mut worker_lost: Option<String> = None;
-    let mut fp16 = vec![F16::ZERO; state.len()];
+    // Every element is overwritten by its subgroup's downscale, so the
+    // output is left for the kernel to zero page by page on first touch.
+    let mut fp16 = F16::zeroed_vec(state.len());
     let fault = cfg.fault_injection;
 
     // Every k-th dynamic subgroup goes to the device, and so do the
@@ -637,6 +733,67 @@ mod tests {
             tracer.metrics().counter("pipeline.device_subgroups"),
             report.device_subgroups as u64
         );
+    }
+
+    /// Each subgroup's stage spans are measured block by block and
+    /// recorded back to back: `update` then `downscale` on the CPU track,
+    /// then `flush` too on the device worker's, each with its usual
+    /// resource and work.
+    #[test]
+    fn traced_fused_step_records_back_to_back_stage_spans() {
+        // Subgroups of 2.5 fusion blocks plus a short tail subgroup.
+        let n = 4 * 20_480 + 100;
+        let (expected_p, expected_16) = reference(n);
+        let (mut state, grads) = setup(n);
+        let sgs = partition_into_subgroups(n, 20_480);
+        let tracer = Tracer::new();
+        let cfg = PipelineConfig { static_residents: 1, ..Default::default() };
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &ArenaPool::new())
+                .unwrap();
+        assert_eq!(state.params(), &expected_p[..]);
+        assert_eq!(report.fp16_params, expected_16);
+        assert!(report.device_subgroups > 0 && report.cpu_subgroups > 0);
+
+        let events = tracer.events();
+        for (track, stages) in [
+            (super::CPU_TRACK, &[("update", "cpu", 1), ("downscale", "cpu", 1)][..]),
+            (
+                super::DEVICE_TRACK,
+                &[("update", "gpu", 1), ("downscale", "gpu", 1), ("flush", "pcie.d2h", 12)][..],
+            ),
+        ] {
+            let mut seen = 0;
+            for sg in &sgs {
+                let spans: Vec<_> = stages
+                    .iter()
+                    .filter_map(|(stage, ..)| {
+                        let name = format!("{stage}:sg{}", sg.id);
+                        events.iter().find(|e| e.track == track && e.name == name)
+                    })
+                    .collect();
+                if spans.is_empty() {
+                    continue; // updated on the other track
+                }
+                seen += 1;
+                assert_eq!(spans.len(), stages.len(), "{track} sg{}", sg.id);
+                for (e, (_, resource, bytes)) in spans.iter().zip(stages) {
+                    assert_eq!(e.resource, *resource, "{}", e.name);
+                    assert_eq!(e.work, (bytes * sg.len()) as f64, "{}", e.name);
+                    assert!(e.dur >= 0.0, "{} lasted {}", e.name, e.dur);
+                }
+                for pair in spans.windows(2) {
+                    let end = pair[0].start + pair[0].dur;
+                    assert!((pair[1].start - end).abs() < 1e-9, "gap before {}", pair[1].name);
+                }
+            }
+            let want = if track == super::CPU_TRACK {
+                report.cpu_subgroups
+            } else {
+                report.device_subgroups
+            };
+            assert_eq!(seen, want, "{track}");
+        }
     }
 
     #[test]

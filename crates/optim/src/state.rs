@@ -160,7 +160,7 @@ impl MixedPrecisionState {
     pub fn downscale_range(&self, range: std::ops::Range<usize>) -> Vec<F16> {
         assert!(range.end <= self.p.len(), "range out of bounds");
         let src = &self.p[range];
-        let mut out = vec![F16::ZERO; src.len()];
+        let mut out = F16::zeroed_vec(src.len());
         downscale_f32_chunked(src, &mut out, 0).expect("lengths match by construction");
         out
     }

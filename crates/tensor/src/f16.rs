@@ -26,7 +26,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 // `repr(transparent)`: the F16C kernel stores 8 halves at once through a
-// pointer cast, which relies on `F16` having `u16`'s layout.
+// pointer cast, and `F16::zeroed_vec` reuses a `u16` allocation; both rely
+// on `F16` having `u16`'s layout.
 #[repr(transparent)]
 pub struct F16(u16);
 
@@ -56,6 +57,24 @@ impl F16 {
     /// Returns the raw bits.
     pub const fn to_bits(self) -> u16 {
         self.0
+    }
+
+    /// `n` positive zeros, from zero-initialised memory.
+    ///
+    /// Equal to `vec![F16::ZERO; n]`, but that writes every element,
+    /// because std only hands out pre-zeroed memory for primitive element
+    /// types. This builds a `vec![0u16; n]` instead, whose allocation the
+    /// kernel zeroes page by page on first touch, so a large output that
+    /// is about to be overwritten is not written twice.
+    #[allow(unsafe_code)]
+    pub fn zeroed_vec(n: usize) -> Vec<F16> {
+        let mut bits = std::mem::ManuallyDrop::new(vec![0u16; n]);
+        let (ptr, len, cap) = (bits.as_mut_ptr(), bits.len(), bits.capacity());
+        // SAFETY: `F16` is `#[repr(transparent)]` over `u16`, so it has the
+        // same size and alignment and the allocation's layout is unchanged;
+        // `ptr`, `len` and `cap` come from a live `Vec<u16>` that is never
+        // dropped; and the all-zero bit pattern is `F16::ZERO`.
+        unsafe { Vec::from_raw_parts(ptr.cast::<F16>(), len, cap) }
     }
 
     /// Converts from `f32` with round-to-nearest-even.
@@ -166,6 +185,19 @@ impl PartialOrd for F16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zeroed_vec_equals_a_filled_vec() {
+        for n in [0usize, 1, 7, 4096, 1 << 20] {
+            let v = F16::zeroed_vec(n);
+            assert_eq!(v, vec![F16::ZERO; n], "n={n}");
+            assert_eq!(v.capacity(), n);
+        }
+        // The buffer is an ordinary `Vec`: it grows and drops as one.
+        let mut v = F16::zeroed_vec(3);
+        v.push(F16::ONE);
+        assert_eq!(v, [F16::ZERO, F16::ZERO, F16::ZERO, F16::ONE]);
+    }
 
     #[test]
     fn known_constants() {

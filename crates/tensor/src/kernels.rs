@@ -15,8 +15,8 @@
 //! branchless downscale is compute-bound on its software rounding, so
 //! [`downscale`] dispatches at run time to the hardware converter (AVX2 +
 //! F16C) where the CPU has one, keeping [`downscale_branchless`] as the
-//! fallback. That converter lives in the private `x86` module, the only
-//! place in the crate where `unsafe` is allowed.
+//! fallback. That converter lives in the private `x86` module, one of the
+//! crate's two `unsafe` sites (the other is `F16::zeroed_vec`).
 
 use crate::f16::F16;
 
@@ -173,7 +173,8 @@ pub fn round_through_f16_reference(buf: &mut [f32]) {
     }
 }
 
-/// The hardware FP32→FP16 converter, the crate's only `unsafe` code.
+/// The hardware FP32→FP16 converter, one of the crate's two `unsafe`
+/// sites.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {

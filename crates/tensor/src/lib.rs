@@ -24,7 +24,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// Two sites opt back in with `#[allow(unsafe_code)]`: the F16C converter
+// (`kernels::x86`) and `F16::zeroed_vec`. Each unsafe block must say why
+// it is sound.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod bf16;
 pub mod convert;

@@ -81,7 +81,7 @@ impl Tensor {
         let n: usize = shape.iter().product();
         let storage = match dtype {
             DType::F32 => Storage::F32(vec![0.0; n]),
-            DType::F16 => Storage::F16(vec![F16::ZERO; n]),
+            DType::F16 => Storage::F16(F16::zeroed_vec(n)),
             DType::BF16 => Storage::BF16(vec![Bf16::ZERO; n]),
         };
         Tensor { shape: shape.to_vec(), storage }
