@@ -256,14 +256,14 @@ mod tests {
         let report = run_zenflow_bench().unwrap();
         let want = report.dos_avg_secs / report.zenflow_async_avg_secs;
         assert_eq!(report.gain_vs_dos, want);
-        assert!(report.gain_vs_dos < 1.0, "DOS stays ahead on the pinned config: {report:?}");
         assert!(render(&report).contains("x vs dos"));
         let json = serde_json::to_string(&report).unwrap();
         assert_eq!(serde_json::from_str::<ZenFlowBenchReport>(&json).unwrap(), report);
-        // A baseline written before the field existed still parses.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_10.json");
-        let old: ZenFlowBenchReport = serde_json::from_str(&text).unwrap();
+        // A report written before the field existed still parses.
+        let (head, _) =
+            json.split_once(",\"gain_vs_dos\":").expect("gain_vs_dos is the last field");
+        let old: ZenFlowBenchReport = serde_json::from_str(&format!("{head}}}")).unwrap();
         assert_eq!(old.gain_vs_dos, 0.0);
+        assert_eq!(old, ZenFlowBenchReport { gain_vs_dos: 0.0, ..report });
     }
 }

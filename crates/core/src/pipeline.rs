@@ -19,7 +19,7 @@
 use crate::arena::{ArenaPool, PooledF32};
 use crate::sync;
 
-use dos_optim::{kernels as optim_kernels, MixedPrecisionState, StateRangeMut, UpdateRule};
+use dos_optim::{MixedPrecisionState, StateRangeMut, UpdateRule};
 use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
@@ -185,10 +185,14 @@ impl<'t> StageClock<'t> {
         StageClock { tracer, start: now, last: now, secs: [0.0; 3] }
     }
 
-    fn lap(&mut self, stage: usize) {
-        let now = self.tracer.now();
-        self.secs[stage] += now - self.last;
-        self.last = now;
+    /// Charges the time since the last lap to `stage`; untraced (`None`),
+    /// it takes no timestamp.
+    fn lap(clock: &mut Option<Self>, stage: usize) {
+        if let Some(clock) = clock {
+            let now = clock.tracer.now();
+            clock.secs[stage] += now - clock.last;
+            clock.last = now;
+        }
     }
 
     /// Records one `{stage}:sg{id}` span per `(resource, stage, work)`, in
@@ -232,32 +236,24 @@ impl StepCtx<'_> {
         })
     }
 
-    /// Updates one fusion block and downscales it into `p16`. Untraced,
-    /// this is the fused kernel. Traced, the two kernels run apart over the
-    /// block so each stage's time can be charged separately: the downscale
-    /// is a distinct pipeline stage (`D_c` in Eq. 1), and folding it into
-    /// the update would inflate the tuner's `U_c` estimate and leave `D_c`
-    /// unobservable. Both ways give the same bits. Timing whole blocks
-    /// rather than the fused kernel's 1024-element chunks keeps the
-    /// clock reads to one per stage per block.
+    /// Updates one fusion block and downscales it into `p16` while the
+    /// block is still in cache. Traced, each kernel's time is charged to
+    /// its own stage, so the downscale (`D_c` in Eq. 1) stays observable
+    /// apart from the update (`U_c`).
     #[allow(clippy::too_many_arguments)]
     fn update_block(
         &self,
-        clock: Option<&mut StageClock<'_>>,
+        clock: &mut Option<StageClock<'_>>,
         p: &mut [f32],
         g: &[f32],
         m: &mut [f32],
         v: &mut [f32],
         p16: &mut [F16],
     ) {
-        let Some(clock) = clock else {
-            optim_kernels::apply_downscale(&self.rule, self.step, self.lr, p, g, m, v, p16);
-            return;
-        };
         self.rule.apply(self.step, self.lr, p, g, m, v);
-        clock.lap(UPDATE);
+        StageClock::lap(clock, UPDATE);
         kernels::downscale(p, p16);
-        clock.lap(DOWNSCALE);
+        StageClock::lap(clock, DOWNSCALE);
     }
 
     /// Local (CPU) update of one subgroup, one pass over memory; also the
@@ -269,7 +265,7 @@ impl StepCtx<'_> {
         let mut clock = self.tracer.map(StageClock::start);
         for (a, b) in fusion_blocks(sg.len()) {
             let (p, m, v) = (&mut state.p[a..b], &mut state.m[a..b], &mut state.v[a..b]);
-            self.update_block(clock.as_mut(), p, &g[a..b], m, v, &mut p16[a..b]);
+            self.update_block(&mut clock, p, &g[a..b], m, v, &mut p16[a..b]);
         }
         if let Some(clock) = clock {
             let n = sg.len();
@@ -305,13 +301,11 @@ impl StepCtx<'_> {
         let mut clock = self.tracer.map(StageClock::start);
         for (a, b) in fusion_blocks(sg.len()) {
             let (pb, mb, vb) = (&mut p[a..b], &mut m[a..b], &mut v[a..b]);
-            self.update_block(clock.as_mut(), pb, &g[a..b], mb, vb, &mut p16[a..b]);
+            self.update_block(&mut clock, pb, &g[a..b], mb, vb, &mut p16[a..b]);
             state.p[a..b].copy_from_slice(pb);
             state.m[a..b].copy_from_slice(mb);
             state.v[a..b].copy_from_slice(vb);
-            if let Some(clock) = clock.as_mut() {
-                clock.lap(FLUSH);
-            }
+            StageClock::lap(&mut clock, FLUSH);
         }
         if let Some(clock) = clock {
             let n = sg.len();

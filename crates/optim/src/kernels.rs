@@ -9,16 +9,10 @@
 //! slices in lock-step chunks with all bounds checks hoisted, which is the
 //! shape LLVM's loop vectorizer turns into packed `sqrt`/`div` lanes.
 //!
-//! [`apply_downscale`] fuses the update with the FP32→FP16 downscale of
-//! the parameters it just wrote (the CPU side of one pipeline subgroup),
-//! chunk by chunk, so the pair is one pass over memory.
-//!
 //! [`apply_reference`] keeps the original scalar loops as the oracle;
 //! bit-identity is enforced by the unit tests here, the `kernels` arm of
 //! the conformance harness (`dos-oracle`), and proptests across rules ×
 //! stride policies × non-lane-multiple subgroup sizes.
-
-use dos_tensor::{kernels as tensor_kernels, F16};
 
 use crate::rule::UpdateRule;
 
@@ -75,46 +69,6 @@ fn rmsprop_chunk(alpha: f32, eps: f32, lr: f32, p: &mut [f32], g: &[f32], v: &mu
     }
 }
 
-/// Walks the four state slices in lock-step [`CHUNK`]s, applies `rule` to
-/// each and hands the updated parameter chunk, with its offset, to
-/// `after` while it is still in cache.
-#[allow(clippy::too_many_arguments)]
-fn apply_chunks(
-    rule: &UpdateRule,
-    step: u64,
-    lr: f32,
-    p: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    mut after: impl FnMut(usize, &[f32]),
-) {
-    check_lengths(step, p, g, m, v);
-    let chunks = p.chunks_mut(CHUNK).zip(g.chunks(CHUNK)).zip(m.chunks_mut(CHUNK));
-    match *rule {
-        UpdateRule::Adam { beta1, beta2, eps, weight_decay } => {
-            let bc1 = 1.0 - beta1.powi(step as i32);
-            let bc2 = 1.0 - beta2.powi(step as i32);
-            for (i, (((pc, gc), mc), vc)) in chunks.zip(v.chunks_mut(CHUNK)).enumerate() {
-                adam_chunk(beta1, beta2, eps, weight_decay, bc1, bc2, lr, pc, gc, mc, vc);
-                after(i * CHUNK, pc);
-            }
-        }
-        UpdateRule::Adagrad { eps } => {
-            for (i, (((pc, gc), _), vc)) in chunks.zip(v.chunks_mut(CHUNK)).enumerate() {
-                adagrad_chunk(eps, lr, pc, gc, vc);
-                after(i * CHUNK, pc);
-            }
-        }
-        UpdateRule::RmsProp { alpha, eps } => {
-            for (i, (((pc, gc), _), vc)) in chunks.zip(v.chunks_mut(CHUNK)).enumerate() {
-                rmsprop_chunk(alpha, eps, lr, pc, gc, vc);
-                after(i * CHUNK, pc);
-            }
-        }
-    }
-}
-
 /// Applies `rule` to the element range, chunked and autovectorizable.
 /// Bit-identical to [`apply_reference`] for every input.
 ///
@@ -130,34 +84,35 @@ pub fn apply(
     m: &mut [f32],
     v: &mut [f32],
 ) {
-    apply_chunks(rule, step, lr, p, g, m, v, |_, _| {});
-}
-
-/// [`apply`] fused with the FP32→FP16 downscale of the updated parameters
-/// into `p16`: each [`CHUNK`] of `p` is converted right after the rule
-/// writes it, while it is still in L1, so the update and the downscale are
-/// one pass over memory (30 B/param against 34 B for two passes).
-/// Bit-identical to [`apply_reference`] followed by
-/// [`dos_tensor::kernels::downscale_reference`] for every input.
-///
-/// # Panics
-///
-/// Panics if slice lengths differ (`p16` included) or `step == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_downscale(
-    rule: &UpdateRule,
-    step: u64,
-    lr: f32,
-    p: &mut [f32],
-    g: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    p16: &mut [F16],
-) {
-    assert_eq!(p16.len(), p.len(), "fp16 output length mismatch");
-    apply_chunks(rule, step, lr, p, g, m, v, |at, pc| {
-        tensor_kernels::downscale(pc, &mut p16[at..at + pc.len()]);
-    });
+    check_lengths(step, p, g, m, v);
+    match *rule {
+        UpdateRule::Adam { beta1, beta2, eps, weight_decay } => {
+            let bc1 = 1.0 - beta1.powi(step as i32);
+            let bc2 = 1.0 - beta2.powi(step as i32);
+            for (((pc, gc), mc), vc) in p
+                .chunks_mut(CHUNK)
+                .zip(g.chunks(CHUNK))
+                .zip(m.chunks_mut(CHUNK))
+                .zip(v.chunks_mut(CHUNK))
+            {
+                adam_chunk(beta1, beta2, eps, weight_decay, bc1, bc2, lr, pc, gc, mc, vc);
+            }
+        }
+        UpdateRule::Adagrad { eps } => {
+            for ((pc, gc), vc) in
+                p.chunks_mut(CHUNK).zip(g.chunks(CHUNK)).zip(v.chunks_mut(CHUNK))
+            {
+                adagrad_chunk(eps, lr, pc, gc, vc);
+            }
+        }
+        UpdateRule::RmsProp { alpha, eps } => {
+            for ((pc, gc), vc) in
+                p.chunks_mut(CHUNK).zip(g.chunks(CHUNK)).zip(v.chunks_mut(CHUNK))
+            {
+                rmsprop_chunk(alpha, eps, lr, pc, gc, vc);
+            }
+        }
+    }
 }
 
 /// The original scalar loops, retained verbatim as the bit-exactness
@@ -245,111 +200,6 @@ mod tests {
         }
     }
 
-    /// `apply_reference` then `downscale_reference`: the fused kernel's
-    /// oracle. Returns the four outputs as bits.
-    #[allow(clippy::type_complexity)]
-    fn fused_oracle(
-        rule: &UpdateRule,
-        step: u64,
-        p: &[f32],
-        g: &[f32],
-        m: &[f32],
-        v: &[f32],
-    ) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<F16>) {
-        let (mut p, mut m, mut v) = (p.to_vec(), m.to_vec(), v.to_vec());
-        apply_reference(rule, step, 0.017, &mut p, g, &mut m, &mut v);
-        let mut p16 = vec![F16::ZERO; p.len()];
-        tensor_kernels::downscale_reference(&p, &mut p16);
-        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        (bits(&p), bits(&m), bits(&v), p16)
-    }
-
-    /// The fused kernel on copies of the inputs, as bits.
-    #[allow(clippy::type_complexity)]
-    fn fused(
-        rule: &UpdateRule,
-        step: u64,
-        p: &[f32],
-        g: &[f32],
-        m: &[f32],
-        v: &[f32],
-    ) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<F16>) {
-        let (mut p, mut m, mut v) = (p.to_vec(), m.to_vec(), v.to_vec());
-        // Stale contents must be overwritten, not kept.
-        let mut p16 = vec![F16::NAN; p.len()];
-        apply_downscale(rule, step, 0.017, &mut p, g, &mut m, &mut v, &mut p16);
-        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        (bits(&p), bits(&m), bits(&v), p16)
-    }
-
-    /// Parameters that hit every conversion path: NaNs (payloads the
-    /// hardware converter quiets differently), ±inf, f32 and f16
-    /// subnormals, overflow past `F16::MAX`, and ordinary values.
-    fn adversarial(n: usize, salt: u32) -> Vec<f32> {
-        const SPECIAL: [u32; 10] = [
-            0x7F80_0001, // NaN, payload 1
-            0xFFC0_0000, // negative quiet NaN
-            0x7F80_0000, // +inf
-            0xFF80_0000, // -inf
-            0x0000_0001, // smallest f32 subnormal
-            0x8000_0001,
-            0x3380_0001, // just above half the smallest f16 subnormal
-            0x3400_0000, // 2^-23, an f16 subnormal
-            0x477F_F000, // 65520: rounds to f16 infinity
-            0x0000_0000,
-        ];
-        synth(n, salt)
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let h = (i as u32).wrapping_mul(2_246_822_519).wrapping_add(salt);
-                if h.is_multiple_of(5) {
-                    f32::from_bits(SPECIAL[(h / 5) as usize % SPECIAL.len()])
-                } else {
-                    x
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fused_matches_apply_then_downscale_reference() {
-        // Straddling lane widths, `CHUNK`, the conversion chunk and the
-        // pipeline's fusion block (8192).
-        for n in [0usize, 1, 7, 8, 9, 17, 1023, 1024, 1025, 4097, 8191, 8192, 8193] {
-            for rule in rules() {
-                for (what, p) in [("finite", synth(n, 1)), ("adversarial", adversarial(n, 9))] {
-                    let g = synth(n, 4);
-                    let m = synth(n, 2);
-                    let v: Vec<f32> = synth(n, 3).iter().map(|x| x.abs()).collect();
-                    for step in [1u64, 3] {
-                        assert_eq!(
-                            fused(&rule, step, &p, &g, &m, &v),
-                            fused_oracle(&rule, step, &p, &g, &m, &v),
-                            "{rule:?} n={n} step={step} {what}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fp16 output length mismatch")]
-    fn fused_rejects_a_short_output() {
-        let mut p16 = [F16::ZERO];
-        apply_downscale(
-            &UpdateRule::adam(),
-            1,
-            0.1,
-            &mut [0.0, 1.0],
-            &[0.0; 2],
-            &mut [0.0; 2],
-            &mut [0.0; 2],
-            &mut p16,
-        );
-    }
-
     #[test]
     #[should_panic(expected = "1-based")]
     fn step_zero_rejected() {
@@ -383,25 +233,6 @@ mod tests {
             prop_assert!(pa.iter().zip(&pb).all(|(a, b)| a.to_bits() == b.to_bits()));
             prop_assert!(ma.iter().zip(&mb).all(|(a, b)| a.to_bits() == b.to_bits()));
             prop_assert!(va.iter().zip(&vb).all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-
-        #[test]
-        fn fused_stays_bit_identical_to_its_oracle(
-            n in 0usize..9000,
-            seed in 0u32..1_000_000,
-            ridx in 0usize..4,
-            step in 1u64..5,
-            special in any::<bool>(),
-        ) {
-            let rule = rules()[ridx];
-            let p = if special { adversarial(n, seed) } else { synth(n, seed) };
-            let g = synth(n, seed ^ 0xABCD);
-            let m = synth(n, seed ^ 0x1111);
-            let v: Vec<f32> = synth(n, seed ^ 0x2222).iter().map(|x| x.abs()).collect();
-            prop_assert_eq!(
-                fused(&rule, step, &p, &g, &m, &v),
-                fused_oracle(&rule, step, &p, &g, &m, &v)
-            );
         }
     }
 }

@@ -6,9 +6,7 @@
 //! of its scalar original — restructuring *between* elements is free,
 //! restructuring *within* one is not. This arm re-checks that contract as
 //! part of every `dos-cli conformance` run: [`dos_optim::kernels::apply`]
-//! against `apply_reference` for all four rules, the fused
-//! [`dos_optim::kernels::apply_downscale`] against `apply_reference`
-//! followed by `downscale_reference`, and the
+//! against `apply_reference` for all four rules, and the
 //! [`dos_tensor::kernels`] conversions against their `_reference` twins
 //! over adversarial bit patterns (NaNs, infinities, subnormals) plus the
 //! full 65536-pattern FP16 space on the upscale side. Lengths are chosen
@@ -71,6 +69,17 @@ fn first_bits_mismatch(what: &str, got: &[f32], want: &[f32]) -> Option<String> 
     )
 }
 
+fn rule_op(rule: UpdateRule) -> &'static str {
+    match rule {
+        UpdateRule::Adam { weight_decay, .. } if weight_decay > 0.0 => "apply/adamw",
+        UpdateRule::Adam { .. } => "apply/adam",
+        UpdateRule::Adagrad { .. } => "apply/adagrad",
+        UpdateRule::RmsProp { .. } => "apply/rmsprop",
+        // `UpdateRule` is non_exhaustive; new rules get a generic label.
+        _ => "apply/other",
+    }
+}
+
 /// Runs one update-rule cell: three steps of [`optim_kernels::apply`] and
 /// `apply_reference` over identically-seeded state, compared bitwise after
 /// each step.
@@ -92,50 +101,7 @@ pub fn run_apply_cell(rule: UpdateRule, n: usize) -> KernelCell {
             break;
         }
     }
-    KernelCell { op: format!("apply/{}", rule.name()), n, mismatch }
-}
-
-/// Runs one fused update-and-downscale cell: three steps of
-/// [`optim_kernels::apply_downscale`] against `apply_reference` followed
-/// by `downscale_reference`, compared bitwise after each step. About one
-/// parameter in five starts as a raw bit pattern, so NaNs, infinities and
-/// subnormals reach the downscale.
-pub fn run_apply_downscale_cell(rule: UpdateRule, n: usize) -> KernelCell {
-    let raw = bit_patterns(n, 3);
-    let mut pv: Vec<f32> =
-        finite(n, 1).into_iter().zip(raw).map(|(x, r)| if x > 0.6 { r } else { x }).collect();
-    let mut mv = vec![0.0f32; n];
-    let mut vv = vec![0.0f32; n];
-    let (mut pr, mut mr, mut vr) = (pv.clone(), mv.clone(), vv.clone());
-    let mut hv = vec![F16::ZERO; n];
-    let mut hr = vec![F16::ZERO; n];
-    let mut mismatch = None;
-    for step in 1..=3u64 {
-        let g = finite(n, 100 + step);
-        optim_kernels::apply_downscale(&rule, step, 0.01, &mut pv, &g, &mut mv, &mut vv, &mut hv);
-        optim_kernels::apply_reference(&rule, step, 0.01, &mut pr, &g, &mut mr, &mut vr);
-        tensor_kernels::downscale_reference(&pr, &mut hr);
-        mismatch = first_bits_mismatch("params", &pv, &pr)
-            .or_else(|| first_bits_mismatch("momentum", &mv, &mr))
-            .or_else(|| first_bits_mismatch("variance", &vv, &vr))
-            .or_else(|| first_f16_mismatch(&hv, &hr, &pr))
-            .map(|m| format!("step {step}: {m}"));
-        if mismatch.is_some() {
-            break;
-        }
-    }
-    KernelCell { op: format!("apply_downscale/{}", rule.name()), n, mismatch }
-}
-
-fn first_f16_mismatch(got: &[F16], want: &[F16], src: &[f32]) -> Option<String> {
-    got.iter().zip(want).enumerate().find(|(_, (a, b))| a != b).map(|(i, (a, b))| {
-        format!(
-            "f16[{i}] = {:#06x} from {:?}, reference {:#06x}",
-            a.to_bits(),
-            src[i],
-            b.to_bits()
-        )
-    })
+    KernelCell { op: rule_op(rule).to_string(), n, mismatch }
 }
 
 /// Runs one conversion cell (`downscale`, `upscale`, or `round_through`).
@@ -147,7 +113,14 @@ pub fn run_conversion_cell(op: &str, n: usize) -> KernelCell {
             let mut want = vec![F16::ZERO; n];
             tensor_kernels::downscale(&src, &mut got);
             tensor_kernels::downscale_reference(&src, &mut want);
-            first_f16_mismatch(&got, &want, &src)
+            got.iter().zip(&want).enumerate().find(|(_, (a, b))| a != b).map(|(i, (a, b))| {
+                format!(
+                    "f16[{i}] = {:#06x} from {:?}, reference {:#06x}",
+                    a.to_bits(),
+                    src[i],
+                    b.to_bits()
+                )
+            })
         }
         "upscale" => {
             // Every FP16 bit pattern, cycled to fill n.
@@ -172,8 +145,7 @@ pub fn run_conversion_cell(op: &str, n: usize) -> KernelCell {
 }
 
 /// The default cell matrix: all four rules × lengths straddling the chunk
-/// size, for the update alone and fused with the downscale, plus the three
-/// conversions (upscale covers the full FP16 space).
+/// size, plus the three conversions (upscale covers the full FP16 space).
 pub fn default_cells_filtered(filter: Option<&str>) -> (Vec<KernelCell>, DivergenceReport) {
     let rules =
         [UpdateRule::adam(), UpdateRule::adamw(0.01), UpdateRule::adagrad(), UpdateRule::rmsprop()];
@@ -181,17 +153,9 @@ pub fn default_cells_filtered(filter: Option<&str>) -> (Vec<KernelCell>, Diverge
     let selected = |coords: &str| filter.is_none_or(|f| coords.contains(f));
     for rule in rules {
         for n in [1usize, 1023, 4097] {
-            let coords = format!("kernels/apply/{}/n={n}", rule.name());
+            let coords = format!("kernels/{}/n={n}", rule_op(rule));
             if selected(&coords) {
                 cells.push(run_apply_cell(rule, n));
-            }
-        }
-    }
-    for rule in rules {
-        for n in [1usize, 1023, 4097, 8193] {
-            let coords = format!("kernels/apply_downscale/{}/n={n}", rule.name());
-            if selected(&coords) {
-                cells.push(run_apply_downscale_cell(rule, n));
             }
         }
     }
@@ -224,7 +188,7 @@ mod tests {
     #[test]
     fn the_default_matrix_is_bit_exact() {
         let (cells, report) = default_cells_filtered(None);
-        assert_eq!(cells.len(), 4 * 3 + 4 * 4 + 3);
+        assert_eq!(cells.len(), 4 * 3 + 3);
         assert!(report.is_conformant(), "{}", report.render_table());
     }
 
@@ -234,9 +198,6 @@ mod tests {
         assert_eq!(cells.len(), 3);
         assert_eq!(report.cells_checked, 3);
         assert!(cells.iter().all(|c| c.op == "apply/rmsprop"));
-        let (fused, report) = default_cells_filtered(Some("kernels/apply_downscale/"));
-        assert_eq!(fused.len(), 4 * 4);
-        assert!(report.is_conformant(), "{}", report.render_table());
         let (none, _) = default_cells_filtered(Some("no-such-cell"));
         assert!(none.is_empty());
     }
